@@ -1,9 +1,13 @@
 """Enumeration of all n-concepts of a context.
 
 Two routes are provided.  ``enumerate_concepts`` is the working enumerator: a
-recursive binary partition of the element space (every element is either kept
-as a candidate or discarded) with forced-inclusion propagation and a
-closedness prune, in the family of closed n-set miners.
+closed n-set miner over per-dimension bitmasks in the style of Data-Peeler
+(Cerf, Besson, Robardet & Boulicaut, *Closed Patterns Meet n-ary Relations*,
+TKDD 2009).  It splits the element space one element at a time (kept or
+discarded), drops candidates that no longer fit the kept box, forces in
+candidates that every box below must contain, and prunes nodes that a
+discarded element would extend.  The search runs on an explicit stack and
+branches on the dimension with the fewest candidates left.
 ``brute_force_concepts`` is the exhaustive oracle: it walks every subset
 combination of all dimensions but the largest, derives the remaining maximal
 component, and keeps what passes ``is_concept``.  The two must agree on every
@@ -91,76 +95,103 @@ class ConceptSet:
         return f"<ConceptSet of {len(self._concepts)}>"
 
 
+def _elements(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _covering(layer: list[int], w: int, members: int) -> int:
+    """The bits of ``members`` whose layer row contains every bit of ``w``."""
+    hit = 0
+    while members:
+        low = members & -members
+        if layer[low.bit_length() - 1] & w == w:
+            hit |= low
+        members ^= low
+    return hit
+
+
 def enumerate_concepts(
     ctx: NContext, *, max_concepts: int | None = None
 ) -> ConceptSet:
     """All n-concepts of ``ctx``, canonically ordered.
 
-    Search state per dimension: elements already committed to the box (kept),
-    undecided candidates, and discarded elements.  At each node, a candidate
-    whose layer covers the whole still-reachable box is forced in (every
-    closed box below this node must contain it), and the node is abandoned as
-    soon as a discarded element's layer covers the still-reachable box (no
-    closed box below can avoid it).  When no candidates remain the kept box
-    is full and maximal by construction.  Branching order is fixed (lowest
-    dimension, then lowest element index) so the search is deterministic.
+    Search state per dimension, each an ``int`` bitmask over its elements:
+    kept elements, undecided candidates, and discarded elements.  The kept
+    box is always full, and every candidate fits it: a candidate whose layer
+    stops covering the product of the kept components (after another element
+    is kept) is dropped, since no box below the node can contain it.  At each
+    node, a candidate whose layer covers the whole still-reachable box (kept
+    plus candidates) is forced in, because every closed box below must
+    contain it, and the node is abandoned as soon as a discarded element's
+    layer covers the still-reachable box, because no closed box below can
+    avoid it.  When no candidates remain, the kept box is full and maximal.
+
+    Nodes wait on an explicit stack, so search depth is not bounded by the
+    interpreter's recursion limit.  Each branch takes the dimension with the
+    fewest candidates left (ties to the lowest dimension) and its lowest
+    element index, keeping it in one child and discarding it in the other,
+    so the search is deterministic.
 
     ``max_concepts`` is an optional hard cap; exceeding it raises
     ``ConceptLimitError``.
     """
     n = ctx.arity
-    sizes = [len(d) for d in ctx.dims]
+    layers = ctx._layers
+    width = ctx._width_bits
     found: list[tuple[tuple[int, ...], ...]] = []
 
-    def search(
-        kept: list[set[int]], cand: list[set[int]], out: list[set[int]]
-    ) -> None:
-        # Widths below use kept|cand, which forced moves do not change, so a
-        # single pass per dimension is a fixpoint.
+    cand = [(1 << len(d)) - 1 for d in ctx.dims]
+    if n == 1:  # no other dimension: a candidate fits only if it is related
+        cand[0] = _covering(layers[0], 1, cand[0])
+    stack = [([0] * n, cand, [0] * n)]
+    while stack:
+        kept, cand, out = stack.pop()
+        # Forced moves keep kept|cand unchanged, so one pass is a fixpoint.
+        reach = [_elements(k | c) for k, c in zip(kept, cand)]
         for i in range(n):
-            if not cand[i] and not out[i]:
+            if not (cand[i] or out[i]):
                 continue
-            merged = [
-                sorted(kept[j] | cand[j]) for j in range(n) if j != i
-            ]
-            w = ctx._width_bits(i, merged)
-            layer = ctx._layers[i]
-            if any(layer.get(e, 0) & w == w for e in out[i]):
-                return
-            forced = {e for e in cand[i] if layer.get(e, 0) & w == w}
-            if forced:
-                cand[i] -= forced
-                kept[i] |= forced
-        pick = None
-        for i in range(n):
-            if cand[i]:
-                pick = (i, min(cand[i]))
+            w = width(i, reach[:i] + reach[i + 1 :])
+            if _covering(layers[i], w, out[i]):
                 break
-        if pick is None:
-            found.append(tuple(tuple(sorted(k)) for k in kept))
-            if max_concepts is not None and len(found) > max_concepts:
-                raise ConceptLimitError(
-                    f"more than {max_concepts} concepts in {ctx!r}"
-                )
-            return
-        i, e = pick
-        rest = [sorted(kept[j]) for j in range(n) if j != i]
-        w = ctx._width_bits(i, rest)
-        if ctx._layers[i].get(e, 0) & w == w:
-            search(
-                [k | {e} if j == i else set(k) for j, k in enumerate(kept)],
-                [c - {e} if j == i else set(c) for j, c in enumerate(cand)],
-                [set(o) for o in out],
-            )
-        cand[i].discard(e)
-        out[i].add(e)
-        search(kept, cand, out)
-
-    search(
-        [set() for _ in range(n)],
-        [set(range(s)) for s in sizes],
-        [set() for _ in range(n)],
-    )
+            forced = _covering(layers[i], w, cand[i])
+            kept[i] |= forced
+            cand[i] ^= forced
+        else:
+            counts = [(c.bit_count(), i) for i, c in enumerate(cand) if c]
+            if not counts:
+                found.append(tuple(tuple(_elements(k)) for k in kept))
+                if max_concepts is not None and len(found) > max_concepts:
+                    raise ConceptLimitError(
+                        f"more than {max_concepts} concepts in {ctx!r}"
+                    )
+                continue
+            i = min(counts)[1]
+            bit = cand[i] & -cand[i]
+            # Keeping the element adds cells to the kept box only where
+            # component i holds it, so a candidate of another dimension still
+            # fits iff its layer covers the cells of that one-element slice.
+            kept_in = kept.copy()
+            kept_in[i] |= bit
+            cand_in = cand.copy()
+            cand_in[i] ^= bit
+            comps = [_elements(k) for k in kept_in]
+            comps[i] = [bit.bit_length() - 1]
+            for j in range(n):
+                if j != i and cand_in[j]:
+                    w = width(j, comps[:j] + comps[j + 1 :])
+                    cand_in[j] = _covering(layers[j], w, cand_in[j])
+            cand[i] ^= bit
+            out_ex = out.copy()
+            out_ex[i] |= bit
+            stack.append((kept, cand, out_ex))
+            stack.append((kept_in, cand_in, out))
     concepts = [
         ComponentTuple(
             tuple(

@@ -13,7 +13,6 @@ of every component set produced by the library.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -178,7 +177,8 @@ class NContext:
         self._provenance = provenance
 
         # Mixed-radix strides for flattening the product of all dimensions
-        # except dimension i, then one bit row per (dimension, element).
+        # except dimension i, then one bit row per (dimension, element), held
+        # as a dense list per dimension.
         sizes = [len(d) for d in self._dims]
         self._strides: list[tuple[int, ...]] = []
         for i in range(self._arity):
@@ -189,13 +189,12 @@ class NContext:
                 strides.append(acc)
                 acc *= s
             self._strides.append(tuple(reversed(strides)))
-        self._layers: list[dict[int, int]] = [dict() for _ in range(self._arity)]
+        self._layers: list[list[int]] = [[0] * s for s in sizes]
         for t in self._rel:
             for i in range(self._arity):
                 rest = t[:i] + t[i + 1 :]
                 idx = sum(p * s for p, s in zip(rest, self._strides[i]))
-                layer = self._layers[i]
-                layer[t[i]] = layer.get(t[i], 0) | (1 << idx)
+                self._layers[i][t[i]] |= 1 << idx
 
     # -- basic accessors ---------------------------------------------------
 
@@ -308,16 +307,23 @@ class NContext:
 
     # -- bit-row machinery ---------------------------------------------------
 
-    def _layer_bits(self, i0: int, epos: int) -> int:
-        return self._layers[i0].get(epos, 0)
-
     def _width_bits(self, i0: int, comps: Sequence[Sequence[int]]) -> int:
-        """Mask of the product of index components over all dimensions != i0."""
-        strides = self._strides[i0]
-        bits = 0
-        for combo in itertools.product(*comps):
-            bits |= 1 << sum(p * s for p, s in zip(combo, strides))
-        return bits
+        """Mask of the product of index components over all dimensions != i0.
+
+        Cell ``(p_1, ..., p_m)`` of the product sits at bit
+        ``sum(p_k * stride_k)``.  The mask is built one dimension at a time,
+        smallest stride first: each step ORs together one copy of the mask so
+        far shifted by ``p * stride`` for every ``p`` in that dimension's
+        component.  An empty component gives 0; with no other dimension the
+        product is the single empty cell, bit 1.
+        """
+        mask = 1
+        for comp, stride in zip(reversed(comps), reversed(self._strides[i0])):
+            acc = 0
+            for p in comp:
+                acc |= mask << p * stride
+            mask = acc
+        return mask
 
     def _extend_pos(self, i0: int, comps: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """All elements of dimension i0 whose layer covers the given width.
@@ -327,9 +333,8 @@ class NContext:
         vacuously; for a 1-dimensional context the result is the relation.
         """
         w = self._width_bits(i0, comps)
-        layer = self._layers[i0]
         return tuple(
-            e for e in range(len(self._dims[i0])) if layer.get(e, 0) & w == w
+            e for e, row in enumerate(self._layers[i0]) if row & w == w
         )
 
     # -- box predicates ------------------------------------------------------
@@ -342,7 +347,7 @@ class NContext:
         pos = self._validated(t)
         w = self._width_bits(0, pos[1:])
         layer = self._layers[0]
-        return all(layer.get(e, 0) & w == w for e in pos[0])
+        return all(layer[e] & w == w for e in pos[0])
 
     def is_concept(self, t: ComponentTuple) -> bool:
         """True iff t is a full box that is maximal in every dimension."""

@@ -28,6 +28,14 @@ def box(*comps):
     return ComponentTuple(tuple(tuple(c) for c in comps))
 
 
+def long_thin_context():
+    """1500 objects x 2 attributes; objects o0..o5 carry attribute x."""
+    return NContext(
+        [("a", [f"o{i}" for i in range(1500)]), ("b", "xy")],
+        [(f"o{i}", "x") for i in range(6)],
+    )
+
+
 @pytest.fixture
 def fig1():
     """3 objects x 3 attributes: 1->ab, 2->bc, 3->ac."""

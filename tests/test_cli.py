@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import FIXTURES
+from conftest import FIXTURES, long_thin_context
+
+from polyconcept import serialize_tuples
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -49,6 +51,17 @@ def test_concepts_empty_context(tmp_path):
     res = run_cli("concepts", str(empty))
     assert res.returncode == 0
     assert len(res.stdout.splitlines()) == 2
+
+
+def test_concepts_long_dimension(tmp_path):
+    # A search whose depth grows with the element count overflows the stack
+    # on this table; its traceback would exit with status 1, which means a
+    # failed verification.
+    f = tmp_path / "long.tsv"
+    f.write_text(serialize_tuples(long_thin_context()), encoding="utf-8")
+    res = run_cli("concepts", str(f))
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 3
 
 
 def test_concepts_structured():

@@ -1,5 +1,7 @@
 """Concept enumeration against the exhaustive oracle and frozen examples."""
 
+import math
+
 import pytest
 
 from polyconcept import (
@@ -14,7 +16,13 @@ from polyconcept import (
     oracle_cost,
 )
 
-from conftest import FIG1_CONCEPTS, FIG3_CONCEPTS, box, sweep_contexts
+from conftest import (
+    FIG1_CONCEPTS,
+    FIG3_CONCEPTS,
+    box,
+    long_thin_context,
+    sweep_contexts,
+)
 
 
 def test_fig3_lists_exactly_seven(fig3):
@@ -66,12 +74,28 @@ def test_brute_force_agreement_100_seeds_3x3x3():
         assert enumerate_concepts(ctx) == brute_force_concepts(ctx), seed
 
 
-@pytest.mark.parametrize("shape", [(5, 5), (2, 3, 4), (2, 2, 3, 3)])
+@pytest.mark.parametrize(
+    "shape",
+    [(5, 5), (2, 3, 4), (2, 2, 3, 3), (6, 6, 6), (16, 8), (8, 16), (4, 4, 4, 4)],
+)
 @pytest.mark.parametrize("density", [0.15, 0.5, 0.85])
 def test_brute_force_agreement_other_shapes(shape, density):
-    for seed in range(15):
+    # Shapes of 128 cells and more search deep enough to exercise candidate
+    # filtering and the branching order; the oracle's cost limits them to a
+    # few seeds.
+    for seed in range(15 if math.prod(shape) <= 36 else 3):
         ctx = generate_random(shape, density, seed)
         assert enumerate_concepts(ctx) == brute_force_concepts(ctx), seed
+
+
+def test_long_dimension_does_not_exhaust_recursion():
+    # 1500 x 2 with six crosses: a search whose depth grows with the element
+    # count overflows the interpreter's stack here.
+    found = enumerate_concepts(long_thin_context())
+    assert len(found) == 3
+    assert [len(c) for c in found[0].components] == [0, 2]
+    assert [len(c) for c in found[1].components] == [6, 1]
+    assert [len(c) for c in found[2].components] == [1500, 0]
 
 
 def test_every_concept_is_a_closure_fixpoint(fig3):

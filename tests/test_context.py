@@ -1,5 +1,9 @@
 """Context construction, slicing, box predicates, and 2D derivation."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from polyconcept import (
@@ -218,3 +222,27 @@ def test_context_equality_ignores_provenance(fig3):
 def test_component_tuple_equality_is_setwise():
     assert box("αβ", "13", "a") == ComponentTuple((("α", "β"), ("1", "3"), ("a",)))
     assert box("α", "1", "a") != box("β", "1", "a")
+
+
+def test_width_bits_matches_cell_by_cell_reference():
+    # Every cell of the product of the components, flattened in mixed radix
+    # with the last dimension fastest, sets one bit of the mask.
+    rng = random.Random(20)
+    for n in range(1, 5):
+        for _ in range(40):
+            sizes = [rng.randint(0, 4) for _ in range(n)]
+            ctx = NContext(
+                [(f"d{k}", [f"e{p}" for p in range(s)]) for k, s in enumerate(sizes)]
+            )
+            for i0 in range(n):
+                other = sizes[:i0] + sizes[i0 + 1 :]
+                strides = [math.prod(other[k + 1 :]) for k in range(len(other))]
+                comps = [
+                    tuple(sorted(rng.sample(range(s), rng.randint(0, s))))
+                    for s in other
+                ]
+                expected = 0
+                for cell in itertools.product(*comps):
+                    expected |= 1 << sum(p * s for p, s in zip(cell, strides))
+                assert ctx._width_bits(i0, comps) == expected, (sizes, i0, comps)
+    assert NContext([("d", "ab")], [("a",)])._width_bits(0, ()) == 1
