@@ -48,7 +48,11 @@ def _note(msg: str) -> None:
 
 def _load(path: str) -> NContext:
     with open(path, encoding="utf-8") as fh:
-        return parse_context(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    return parse_context(text)
 
 
 def _dim_arg(value: str):
@@ -60,7 +64,10 @@ def _oracle_cap(args) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    try:
+        return int(env) if env else DEFAULT_ORACLE_CAP
+    except ValueError:
+        raise InputError(f"${CAP_ENV} must be an integer, got {env!r}") from None
 
 
 def _diagram_text(ctx, diagram) -> str:
@@ -319,13 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InputError) as exc:
-        _note(f"error: {exc}")
-        return 2
-    except OSError as exc:
-        _note(f"error: {exc}")
-        return 2
-    except OracleInfeasibleError as exc:
+    except (ParseError, InputError, OSError, OracleInfeasibleError) as exc:
         _note(f"error: {exc}")
         return 2
 

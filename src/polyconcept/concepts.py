@@ -1,13 +1,11 @@
 """Enumeration of all n-concepts of a context.
 
-Two routes are provided.  ``enumerate_concepts`` is the working enumerator: a
-closed n-set miner over per-dimension bitmasks in the style of Data-Peeler
-(Cerf, Besson, Robardet & Boulicaut, *Closed Patterns Meet n-ary Relations*,
-TKDD 2009).  It splits the element space one element at a time (kept or
-discarded), drops candidates that no longer fit the kept box, forces in
-candidates that every box below must contain, and prunes nodes that a
-discarded element would extend.  The search runs on an explicit stack and
-branches on the dimension with the fewest candidates left.
+One search, ``closed_boxes``, is a closed n-set miner over per-dimension
+bitmasks in the style of Data-Peeler (Cerf, Besson, Robardet & Boulicaut,
+*Closed Patterns Meet n-ary Relations*, TKDD 2009).  It has two callers:
+``enumerate_concepts`` runs it from the empty box for the concepts of a
+context, and the introducer computation runs it with one element pinned for
+the concepts of each slice, in place.
 ``brute_force_concepts`` is the exhaustive oracle: it walks every subset
 combination of all dimensions but the largest, derives the remaining maximal
 component, and keeps what passes ``is_concept``.  The two must agree on every
@@ -116,40 +114,44 @@ def _covering(layer: list[int], w: int, members: int) -> int:
     return hit
 
 
-def enumerate_concepts(
-    ctx: NContext, *, max_concepts: int | None = None
-) -> ConceptSet:
-    """All n-concepts of ``ctx``, canonically ordered.
+def closed_boxes(
+    ctx: NContext, kept: list[int]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Closed full boxes of ``ctx`` containing a starting box, as indices.
+
+    ``kept`` holds one ``int`` bitmask per dimension, a full box every result
+    contains.  A dimension whose starting mask is non-empty is pinned: it gets
+    no candidates and no discards.  Pinning element x of dimension i thus
+    yields the concepts of the slice at x in the parent's coordinates, with
+    ``(x,)`` in component i; the empty box yields the concepts of ``ctx``.
 
     Search state per dimension, each an ``int`` bitmask over its elements:
-    kept elements, undecided candidates, and discarded elements.  The kept
-    box is always full, and every candidate fits it: a candidate whose layer
-    stops covering the product of the kept components (after another element
-    is kept) is dropped, since no box below the node can contain it.  At each
-    node, a candidate whose layer covers the whole still-reachable box (kept
-    plus candidates) is forced in, because every closed box below must
-    contain it, and the node is abandoned as soon as a discarded element's
-    layer covers the still-reachable box, because no closed box below can
-    avoid it.  When no candidates remain, the kept box is full and maximal.
+    kept elements, undecided candidates, and discarded elements.  A candidate
+    whose layer does not cover the product of the kept components is dropped,
+    at the start and after each keep.  At each node, a candidate whose layer
+    covers the whole still-reachable box (kept plus candidates) is forced in,
+    and the node is abandoned as soon as a discarded element's layer covers
+    it, because no closed box below can avoid that element.
 
     Nodes wait on an explicit stack, so search depth is not bounded by the
     interpreter's recursion limit.  Each branch takes the dimension with the
     fewest candidates left (ties to the lowest dimension) and its lowest
     element index, keeping it in one child and discarding it in the other,
-    so the search is deterministic.
-
-    ``max_concepts`` is an optional hard cap; exceeding it raises
-    ``ConceptLimitError``.
+    so the search is deterministic and reaches each box once.
     """
     n = ctx.arity
     layers = ctx._layers
     width = ctx._width_bits
-    found: list[tuple[tuple[int, ...], ...]] = []
 
-    cand = [(1 << len(d)) - 1 for d in ctx.dims]
-    if n == 1:  # no other dimension: a candidate fits only if it is related
-        cand[0] = _covering(layers[0], 1, cand[0])
-    stack = [([0] * n, cand, [0] * n)]
+    def fit(cand: list[int], comps: list[list[int]], skip: int = -1) -> None:
+        for j in range(n):
+            if j != skip and cand[j]:
+                w = width(j, comps[:j] + comps[j + 1 :])
+                cand[j] = _covering(layers[j], w, cand[j])
+
+    cand = [0 if k else (1 << len(row)) - 1 for k, row in zip(kept, layers)]
+    fit(cand, [_elements(k) for k in kept])
+    stack = [(list(kept), cand, [0] * n)]
     while stack:
         kept, cand, out = stack.pop()
         # Forced moves keep kept|cand unchanged, so one pass is a fixpoint.
@@ -166,11 +168,7 @@ def enumerate_concepts(
         else:
             counts = [(c.bit_count(), i) for i, c in enumerate(cand) if c]
             if not counts:
-                found.append(tuple(tuple(_elements(k)) for k in kept))
-                if max_concepts is not None and len(found) > max_concepts:
-                    raise ConceptLimitError(
-                        f"more than {max_concepts} concepts in {ctx!r}"
-                    )
+                yield tuple(tuple(_elements(k)) for k in kept)
                 continue
             i = min(counts)[1]
             bit = cand[i] & -cand[i]
@@ -183,25 +181,31 @@ def enumerate_concepts(
             cand_in[i] ^= bit
             comps = [_elements(k) for k in kept_in]
             comps[i] = [bit.bit_length() - 1]
-            for j in range(n):
-                if j != i and cand_in[j]:
-                    w = width(j, comps[:j] + comps[j + 1 :])
-                    cand_in[j] = _covering(layers[j], w, cand_in[j])
+            fit(cand_in, comps, i)
             cand[i] ^= bit
             out_ex = out.copy()
             out_ex[i] |= bit
             stack.append((kept, cand, out_ex))
             stack.append((kept_in, cand_in, out))
-    concepts = [
-        ComponentTuple(
-            tuple(
-                tuple(d.elements[p] for p in comp)
-                for d, comp in zip(ctx.dims, pos)
-            )
-        )
-        for pos in found
-    ]
-    return ConceptSet.collect(ctx, concepts)
+
+
+def enumerate_concepts(
+    ctx: NContext, *, max_concepts: int | None = None
+) -> ConceptSet:
+    """All n-concepts of ``ctx``, canonically ordered.
+
+    Every result of ``closed_boxes`` is re-checked with the concept test.
+    ``max_concepts`` is an optional hard cap; exceeding it raises
+    ``ConceptLimitError``.
+    """
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    for pos in closed_boxes(ctx, [0] * ctx.arity):
+        if not ctx._is_concept_pos(pos):
+            raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
+        found.add(pos)
+        if max_concepts is not None and len(found) > max_concepts:
+            raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")
+    return ConceptSet(tuple(ctx._labelled(pos) for pos in sorted(found)))
 
 
 def oracle_cost(ctx: NContext) -> int:

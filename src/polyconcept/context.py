@@ -351,14 +351,20 @@ class NContext:
 
     def is_concept(self, t: ComponentTuple) -> bool:
         """True iff t is a full box that is maximal in every dimension."""
-        pos = self._validated(t)
-        if not self.is_full_box(t):
-            return False
-        for i in range(self._arity):
-            rest = pos[:i] + pos[i + 1 :]
-            if self._extend_pos(i, rest) != pos[i]:
-                return False
-        return True
+        return self._is_concept_pos(self._validated(t))
+
+    def _is_concept_pos(self, pos: tuple[tuple[int, ...], ...]) -> bool:
+        """``is_concept`` on index components: each equals the extension of
+        the others (for dimension 0 that also makes the box full)."""
+        return all(
+            self._extend_pos(i, pos[:i] + pos[i + 1 :]) == pos[i]
+            for i in range(self._arity)
+        )
+
+    def _labelled(self, pos: Sequence[Sequence[int]]) -> ComponentTuple:
+        """The ComponentTuple of ascending index components."""
+        labels = (tuple(d.elements[p] for p in c) for d, c in zip(self._dims, pos))
+        return ComponentTuple(tuple(labels))
 
     # -- slicing and 2D derivation --------------------------------------------
 

@@ -3,9 +3,10 @@
 For an element x of dimension i, the introducers of x are the concepts that
 contain x in component i and whose remaining components (the width) are
 maximal under componentwise inclusion among such concepts.  They are computed
-here the productive way: slice the context at x, enumerate the concepts of
-the slice, and extend each one back through dimension i.  The definition is
-kept alive as ``introducer_oracle`` so the two routes can be compared.
+here the productive way: enumerate the concepts of the slice at x, and extend
+each one back through dimension i.  The slice is searched in place, by
+pinning x in the parent's search, so no slice context is built.  The
+definition is kept alive as ``introducer_oracle`` to compare the two routes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .concepts import DEFAULT_ORACLE_CAP, brute_force_concepts, enumerate_concepts
+from .concepts import DEFAULT_ORACLE_CAP, brute_force_concepts, closed_boxes
 from .context import ArityError, ComponentTuple, InputError, NContext
 
 
@@ -62,10 +63,6 @@ class IntroducerRecord:
                 return labels
         return ()
 
-    @property
-    def introduces_map(self) -> dict[int, tuple[str, ...]]:
-        return dict(self.introduces)
-
     def __str__(self) -> str:
         parts = "; ".join(f"{d}: {' '.join(ls)}" for d, ls in self.introduces)
         return f"{self.concept} introduces {parts}"
@@ -98,64 +95,58 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
 
 
 def _gather(
-    ctx: NContext, dim_positions: Sequence[int], checked: bool
+    ctx: NContext, dim_positions: Sequence[int]
 ) -> tuple[IntroducerRecord, ...]:
     """Slice-and-extend over the given 0-based dimensions; merge annotations."""
     n = ctx.arity
-    bucket: dict[ComponentTuple, dict[int, set[str]]] = {}
+    bucket: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
     for i0 in dim_positions:
         dim = ctx.dims[i0]
-        for x in dim.elements:
-            sub = ctx.slice(i0 + 1, x)
-            for t in enumerate_concepts(sub):
-                pos = [
-                    tuple(d.position(lb) for lb in comp)
-                    for d, comp in zip(sub.dims, t.components)
-                ]
-                ext = ctx._extend_pos(i0, pos)
-                comps = [
-                    tuple(sub.dims[j].elements[p] for p in c)
-                    for j, c in enumerate(pos)
-                ]
-                height = tuple(dim.elements[p] for p in ext)
-                comps.insert(i0, height)
-                concept = ComponentTuple(tuple(comps))
-                if checked:
-                    if x not in height:
-                        raise ConsistencyError(
-                            f"extension of {t} from slice at {x!r} lost {x!r}"
-                        )
-                    if not ctx.is_concept(concept):
-                        raise ConsistencyError(
-                            f"extension {concept} of slice concept {t} "
-                            f"at {dim.name}={x!r} is not a concept"
-                        )
-                bucket.setdefault(concept, {}).setdefault(i0 + 1, set()).add(x)
-    records = [
-        IntroducerRecord.make(ctx, concept, intro)
-        for concept, intro in bucket.items()
-    ]
-    records.sort(key=lambda r: ctx.sort_key(r.concept))
-    return tuple(records)
+        for x in range(len(dim)):
+            pin = [0] * n
+            pin[i0] = 1 << x
+            for pos in closed_boxes(ctx, pin):
+                ext = ctx._extend_pos(i0, pos[:i0] + pos[i0 + 1 :])
+                concept = pos[:i0] + (ext,) + pos[i0 + 1 :]
+                if x not in ext:
+                    raise ConsistencyError(
+                        f"extension of {ctx._labelled(pos)} lost {dim.elements[x]!r}"
+                    )
+                if not ctx._is_concept_pos(concept):
+                    raise ConsistencyError(
+                        f"extension {ctx._labelled(concept)} of slice concept "
+                        f"{ctx._labelled(pos)} is not a concept"
+                    )
+                bucket.setdefault(concept, {}).setdefault(i0 + 1, []).append(x)
+    # Elements arrive in ascending order, each at most once per concept: the
+    # slice concepts at x have pairwise different widths.
+    return tuple(
+        IntroducerRecord(
+            ctx._labelled(concept),
+            tuple(
+                (d, tuple(ctx.dims[d - 1].elements[x] for x in xs))
+                for d, xs in sorted(intro.items())
+            ),
+        )
+        for concept, intro in sorted(bucket.items())
+    )
 
 
-def introducer_dim(
-    ctx: NContext, dim, *, checked: bool = True
-) -> tuple[IntroducerRecord, ...]:
+def introducer_dim(ctx: NContext, dim) -> tuple[IntroducerRecord, ...]:
     """All introducer concepts of elements of one dimension.
 
     For each element x of ``dim``: enumerate the concepts of the slice at x
     and extend each through ``dim``.  Records arising from several x are
     merged, so each record's annotation for ``dim`` lists every element whose
-    slice produced it.  ``checked`` keeps a defensive is_concept assertion on
-    every extension; pass False to skip it.
+    slice produced it.  Every extension is checked to contain x and to be a
+    concept.
     """
     if ctx.arity < 2:
         raise ArityError("introducer computation needs at least 2 dimensions")
-    return _gather(ctx, [ctx._dim0(dim)], checked)
+    return _gather(ctx, [ctx._dim0(dim)])
 
 
-def introducers(ctx: NContext, *, checked: bool = True) -> tuple[IntroducerRecord, ...]:
+def introducers(ctx: NContext) -> tuple[IntroducerRecord, ...]:
     """All introducer concepts of the context, with merged annotations.
 
     Union of the per-dimension runs; a concept that introduces elements in
@@ -163,7 +154,7 @@ def introducers(ctx: NContext, *, checked: bool = True) -> tuple[IntroducerRecor
     """
     if ctx.arity < 2:
         raise ArityError("introducer computation needs at least 2 dimensions")
-    return _gather(ctx, range(ctx.arity), checked)
+    return _gather(ctx, range(ctx.arity))
 
 
 def nontrivial_filter(

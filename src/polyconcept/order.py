@@ -5,13 +5,11 @@ Concepts are compared per dimension by inclusion of the matching component.
 an n-ordered set: no two distinct members agree in every dimension
 (uniqueness), and whenever one member is below another in all dimensions but
 one, the other is below it in the remaining dimension (antiordinal
-dependency).  A stricter probe, that every distinct pair admits opposite
-inclusions in two different dimensions, is computed alongside for reporting
-but does not affect the verdict.
+dependency).  Both run on bitsets over member positions, built per label.
 
 Since a single dimension induces only a quasi-order, diagrams group members
 into equivalence classes (equal component) and draw the covering relation of
-the classes after transitive reduction.
+the classes after transitive reduction, computed on bitsets of classes.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .concepts import _elements
 from .context import ArityError, ComponentTuple, InputError, NContext
 from .introducers import IntroducerRecord, introducers
 
@@ -48,8 +47,7 @@ class OrderReport:
     """Outcome of the n-ordered-set axiom checks over one member list.
 
     ``per_dimension_relation_sizes`` counts, per dimension, the ordered pairs
-    of distinct positions that are comparable there.  The ``strict_*`` fields
-    carry the stricter reporting-only probe; they do not enter ``ok``.
+    of distinct positions that are comparable there.
     """
 
     uniqueness_ok: bool
@@ -57,8 +55,6 @@ class OrderReport:
     antiordinal_ok: bool
     antiordinal_violations: tuple[tuple[ComponentTuple, ComponentTuple], ...]
     per_dimension_relation_sizes: tuple[int, ...]
-    strict_probe_ok: bool
-    strict_probe_violations: tuple[tuple[ComponentTuple, ComponentTuple], ...]
 
     @property
     def ok(self) -> bool:
@@ -66,11 +62,15 @@ class OrderReport:
 
 
 def check_n_ordered(members: Sequence) -> OrderReport:
-    """Run both axioms (and the strict probe) over a list of members.
+    """Run both axioms over a list of members.
 
     Members may be ComponentTuples or IntroducerRecords; duplicates by
     component content count as uniqueness violations, which is the point of
     accepting a list rather than an already deduplicated set.
+
+    Per dimension, ``has[label]`` is the bitset of members whose component
+    holds the label.  The members above p are the AND of ``has`` over p's
+    labels; those below p are everyone but the OR over the labels p lacks.
     """
     tuples = [_tuple_of(m) for m in members]
     if tuples:
@@ -80,38 +80,40 @@ def check_n_ordered(members: Sequence) -> OrderReport:
                 raise InputError("members have mixed arity")
     else:
         n = 0
-    comps = [[frozenset(c) for c in t.components] for t in tuples]
+    everyone = (1 << len(tuples)) - 1
+    has: list[dict[str, int]] = [{} for _ in range(n)]
+    for p, t in enumerate(tuples):
+        for i, comp in enumerate(t.components):
+            for label in comp:
+                has[i][label] = has[i].get(label, 0) | 1 << p
 
     uniq: set[tuple[ComponentTuple, ComponentTuple]] = set()
     anti: set[tuple[ComponentTuple, ComponentTuple]] = set()
-    probe: set[tuple[ComponentTuple, ComponentTuple]] = set()
     sizes = [0] * n
-
-    for p in range(len(tuples)):
-        for q in range(len(tuples)):
-            if p == q:
-                continue
-            below = [comps[p][i] <= comps[q][i] for i in range(n)]
-            above = [comps[q][i] <= comps[p][i] for i in range(n)]
+    for p, t in enumerate(tuples):
+        ups, downs = [], []  # per dimension: members above p, members below p
+        for i, comp in enumerate(t.components):
+            held = set(comp)
+            up, lacks = everyone, 0
+            for label, bits in has[i].items():
+                if label in held:
+                    up &= bits
+                else:
+                    lacks |= bits
+            ups.append(up)
+            downs.append(everyone & ~lacks)
+            sizes[i] += up.bit_count() - 1
+        same = everyone >> (p + 1) << (p + 1)  # only pairs with q > p
+        bad = 0
+        for j in range(n):
+            same &= ups[j] & downs[j]
+            below_rest = everyone
             for i in range(n):
-                if below[i]:
-                    sizes[i] += 1
-            if p < q:
-                if all(below) and all(above):
-                    uniq.add((tuples[p], tuples[q]))
-                elif tuples[p] != tuples[q]:
-                    # stricter probe: opposite inclusions in two distinct dims
-                    witnessed = any(
-                        below[i] and above[j]
-                        for i in range(n)
-                        for j in range(n)
-                        if i != j
-                    )
-                    if not witnessed:
-                        probe.add(_sorted_pair(tuples[p], tuples[q]))
-            for j in range(n):
-                if all(below[i] for i in range(n) if i != j) and not above[j]:
-                    anti.add((tuples[p], tuples[q]))
+                if i != j:
+                    below_rest &= ups[i]
+            bad |= below_rest & ~downs[j]
+        uniq.update((t, tuples[q]) for q in _elements(same))
+        anti.update((t, tuples[q]) for q in _elements(bad))
 
     def order_pairs(pairs):
         return tuple(sorted(pairs, key=lambda ab: (ab[0].components, ab[1].components)))
@@ -122,13 +124,7 @@ def check_n_ordered(members: Sequence) -> OrderReport:
         antiordinal_ok=not anti,
         antiordinal_violations=order_pairs(anti),
         per_dimension_relation_sizes=tuple(sizes),
-        strict_probe_ok=not probe,
-        strict_probe_violations=order_pairs(probe),
     )
-
-
-def _sorted_pair(a: ComponentTuple, b: ComponentTuple):
-    return (a, b) if a.components <= b.components else (b, a)
 
 
 @dataclass(frozen=True)
@@ -156,8 +152,8 @@ class DimensionDiagram:
 def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram:
     """Group members by their component in ``dim``; order classes by inclusion.
 
-    Edges are the covering pairs of the class order (transitive reduction by
-    direct reachability elimination; class counts are small).
+    Edges are the covering pairs of the class order: the classes above a
+    class, minus every class above one of those.
     """
     i0 = ctx._dim0(dim)
     groups: dict[tuple[str, ...], list] = {}
@@ -180,22 +176,22 @@ def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram
         )
         for key in keys
     )
-    sets = [frozenset(k) for k in keys]
-    less = [
-        [a != b and sa < sb for b, sb in enumerate(sets)]
-        for a, sa in enumerate(sets)
+    masks = [sum(1 << p for p in set(comp_key(key))) for key in keys]
+    # ups[a]: bitset of the classes strictly above class a
+    ups = [
+        sum(1 << b for b, mb in enumerate(masks) if ma != mb and ma & ~mb == 0)
+        for ma in masks
     ]
     edges = []
-    for a in range(len(sets)):
-        for b in range(len(sets)):
-            if less[a][b] and not any(
-                less[a][c] and less[c][b] for c in range(len(sets))
-            ):
-                edges.append((a, b))
-    return DimensionDiagram(dimension=i0 + 1, nodes=nodes, edges=tuple(sorted(edges)))
+    for a, up in enumerate(ups):
+        beyond = 0
+        for c in _elements(up):
+            beyond |= ups[c]
+        edges.extend((a, b) for b in _elements(up & ~beyond))
+    return DimensionDiagram(dimension=i0 + 1, nodes=nodes, edges=tuple(edges))
 
 
-def gsh_2d(ctx: NContext, *, checked: bool = True) -> DimensionDiagram:
+def gsh_2d(ctx: NContext) -> DimensionDiagram:
     """The introducer sub-order of a 2-dimensional context.
 
     Nodes are the introducer concepts (annotated with what they introduce),
@@ -205,4 +201,4 @@ def gsh_2d(ctx: NContext, *, checked: bool = True) -> DimensionDiagram:
         raise ArityError(
             f"this diagram is defined on 2-dimensional contexts, arity is {ctx.arity}"
         )
-    return dimension_diagram(ctx, introducers(ctx, checked=checked), 1)
+    return dimension_diagram(ctx, introducers(ctx), 1)

@@ -118,6 +118,15 @@ def test_missing_file_status():
     assert res.returncode == 2
 
 
+def test_non_utf8_file_is_parse_error(tmp_path):
+    bad = tmp_path / "latin.tsv"
+    bad.write_bytes(b"\xff\xfe1\ta\n")
+    res = run_cli("concepts", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_order_dot_output():
     res = run_cli("order", FIG1_TSV, "--dim", "1")
     assert res.returncode == 0
@@ -185,6 +194,13 @@ def test_verify_cap_from_environment():
     res = run_cli("verify", FIG3_TSV, env_extra={"POLYCONCEPT_ORACLE_CAP": "4"})
     assert res.returncode == 0
     assert "skipped" in res.stdout
+
+
+def test_verify_cap_from_environment_must_be_integer():
+    res = run_cli("verify", FIG3_TSV, env_extra={"POLYCONCEPT_ORACLE_CAP": "abc"})
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
 
 
 def test_gen_writes_tuple_file():

@@ -199,20 +199,30 @@ class TestStructuralInvariants:
                     assert len(widths) == len(mine)
 
     def test_completeness_per_element(self, fig3):
-        records = introducers(fig3)
-        for d in fig3.dims:
-            for x in d.elements:
-                via_slices = {
-                    fig3.box(
-                        *_insert(
-                            t.components,
-                            d.index - 1,
-                            extend_height(fig3, d.index, t),
+        # the in-place slice search against a labelled slice context,
+        # enumerated on its own and extended back with extend_height
+        contexts = [fig3] + [
+            generate_random(shape, density, seed)
+            for shape, density in (
+                ((3, 3, 3), 0.4), ((2, 3, 4), 0.5), ((2, 2, 3, 3), 0.6)
+            )
+            for seed in range(3)
+        ]
+        for ctx in contexts:
+            records = introducers(ctx)
+            for d in ctx.dims:
+                for x in d.elements:
+                    via_slices = {
+                        ctx.box(
+                            *_insert(
+                                t.components,
+                                d.index - 1,
+                                extend_height(ctx, d.index, t),
+                            )
                         )
-                    )
-                    for t in enumerate_concepts(fig3.slice(d.index, x))
-                }
-                assert introducers_of(records, d.index, x) == via_slices
+                        for t in enumerate_concepts(ctx.slice(d.index, x))
+                    }
+                    assert introducers_of(records, d.index, x) == via_slices
 
     def test_2d_specialisation_and_size_bound(self):
         for seed in range(15):
@@ -227,9 +237,6 @@ class TestStructuralInvariants:
             }
             assert got == classic
             assert len(got) <= len(ctx.dims[0]) + len(ctx.dims[1])
-
-    def test_checked_mode_equals_unchecked(self, fig3):
-        assert introducers(fig3, checked=False) == introducers(fig3, checked=True)
 
     def test_crossless_element_still_gets_an_introducer(self):
         # attribute d occurs in no tuple; its slice has the empty concept,

@@ -1,9 +1,12 @@
 """Quasi-orders, the two structural axioms, and covering diagrams."""
 
+import random
+
 import pytest
 
 from polyconcept import (
     ArityError,
+    ComponentTuple,
     InputError,
     NContext,
     check_n_ordered,
@@ -90,16 +93,60 @@ class TestAxioms:
         # dim 1: only (first, second); dim 2: only (second, first)
         assert report.per_dimension_relation_sizes == (1, 1)
 
-    def test_strict_probe_reported_not_enforced(self, fig1):
-        report = check_n_ordered(list(enumerate_concepts(fig1)))
-        # (1, ab) and (23, c) share no inclusion in any dimension
-        assert not report.strict_probe_ok
-        assert report.ok
+    def test_matches_pairwise_reference_on_random_boxes(self):
+        # arbitrary boxes, not concepts, so both axioms are violated; some
+        # components are empty and some members repeat
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = 1 + seed % 4
+            labels = [f"e{k}" for k in range(rng.randint(1, 4))]
+            pool = [
+                ComponentTuple(
+                    tuple(
+                        tuple(lb for lb in labels if rng.random() < 0.5)
+                        for _ in range(n)
+                    )
+                )
+                for _ in range(rng.randint(1, 8))
+            ]
+            members = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            uniq, anti, sizes = _pairwise_reference(members, n)
+            report = check_n_ordered(members)
+            assert report.uniqueness_violations == uniq
+            assert report.antiordinal_violations == anti
+            assert report.per_dimension_relation_sizes == (
+                sizes if members else ()
+            )
+            assert report.ok == (not uniq and not anti)
 
     def test_empty_input(self):
         report = check_n_ordered([])
         assert report.ok
         assert report.per_dimension_relation_sizes == ()
+
+
+def _pairwise_reference(members, n):
+    """Both axioms and the relation sizes by comparing every ordered pair."""
+    sets = [[frozenset(c) for c in t.components] for t in members]
+    uniq, anti, sizes = set(), set(), [0] * n
+    for p, sp in enumerate(sets):
+        for q, sq in enumerate(sets):
+            if p == q:
+                continue
+            below = [sp[i] <= sq[i] for i in range(n)]
+            above = [sq[i] <= sp[i] for i in range(n)]
+            for i in range(n):
+                sizes[i] += below[i]
+            if p < q and all(below) and all(above):
+                uniq.add((members[p], members[q]))
+            for j in range(n):
+                if all(below[i] for i in range(n) if i != j) and not above[j]:
+                    anti.add((members[p], members[q]))
+
+    def ordered(pairs):
+        return tuple(sorted(pairs, key=lambda ab: (ab[0].components, ab[1].components)))
+
+    return ordered(uniq), ordered(anti), tuple(sizes)
 
 
 def _edges_as_components(diagram):
