@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
 
 from .concepts import (
     DEFAULT_ORACLE_CAP,
@@ -32,6 +33,7 @@ from .formats import (
     serialize_tuples,
 )
 from .introducers import (
+    IntroducerRecord,
     introducer_dim,
     introducer_oracle,
     introducers,
@@ -70,18 +72,27 @@ def _oracle_cap(args) -> int:
         raise InputError(f"${CAP_ENV} must be an integer, got {env!r}") from None
 
 
-def _diagram_text(ctx, diagram) -> str:
+def _write_diagram(ctx, diagram, fmt: str, name: str) -> None:
+    if fmt == "dot":
+        sys.stdout.write(export_dot(ctx, diagram, name=name))
+        return
     lines = [f"dimension: {diagram.dimension} {ctx.dims[diagram.dimension - 1].name}"]
     for k, node in enumerate(diagram.nodes):
         comp = " ".join(node.component) if node.component else "∅"
         members = "; ".join(
-            format_record(ctx, m) if hasattr(m, "introduces") else format_concept(ctx, m)
+            (format_record if isinstance(m, IntroducerRecord) else format_concept)(ctx, m)
             for m in node.members
         )
         lines.append(f"class {k} [{comp}]: {members}")
     for lo, hi in diagram.edges:
         lines.append(f"edge: {lo} -> {hi}")
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _introduction_counts(records) -> tuple[Counter, Counter]:
+    """Records introducing something per dimension, and per (dimension, label)."""
+    pairs = [pair for r in records for pair in r.introduces]
+    return Counter(d for d, _ in pairs), Counter((d, x) for d, xs in pairs for x in xs)
 
 
 def cmd_concepts(args) -> int:
@@ -108,14 +119,9 @@ def cmd_introducers(args) -> int:
 def cmd_order(args) -> int:
     ctx = _load(args.input)
     dim = ctx.dim(args.dim).index  # resolve the selector before computing
-    members = (
-        list(introducers(ctx)) if args.on == "introducers" else list(enumerate_concepts(ctx))
-    )
+    members = introducers(ctx) if args.on == "introducers" else enumerate_concepts(ctx)
     diagram = dimension_diagram(ctx, members, dim)
-    if args.format == "dot":
-        sys.stdout.write(export_dot(ctx, diagram, name="order"))
-    else:
-        sys.stdout.write(_diagram_text(ctx, diagram))
+    _write_diagram(ctx, diagram, args.format, "order")
     _note(f"{len(diagram.nodes)} classes, {len(diagram.edges)} edges")
     return 0
 
@@ -123,10 +129,7 @@ def cmd_order(args) -> int:
 def cmd_gsh(args) -> int:
     ctx = _load(args.input)
     diagram = gsh_2d(ctx)
-    if args.format == "dot":
-        sys.stdout.write(export_dot(ctx, diagram, name="gsh"))
-    else:
-        sys.stdout.write(_diagram_text(ctx, diagram))
+    _write_diagram(ctx, diagram, args.format, "gsh")
     _note(f"{len(diagram.nodes)} nodes, {len(diagram.edges)} edges")
     return 0
 
@@ -148,15 +151,14 @@ def cmd_stats(args) -> int:
     out.append(f"introducers: {len(records)}")
     ratio = len(records) / len(found) if found else 0.0
     out.append(f"reduction ratio: {ratio}")
+    per_dim, per_element = _introduction_counts(records)
     out.append("introducers per dimension:")
     for d in ctx.dims:
-        count = sum(1 for r in records if r.introduced(d.index))
-        out.append(f"  {d.index} {d.name}: {count}")
+        out.append(f"  {d.index} {d.name}: {per_dim[d.index]}")
     out.append("introducers per element:")
     for d in ctx.dims:
         for x in d.elements:
-            count = sum(1 for r in records if x in r.introduced(d.index))
-            out.append(f"  {d.name}/{x}: {count}")
+            out.append(f"  {d.name}/{x}: {per_element[d.index, x]}")
     sys.stdout.write("\n".join(out) + "\n")
     _note(f"enumeration: {t1 - t0:.4f}s")
     _note(f"introduction: {t2 - t1:.4f}s")
@@ -235,11 +237,10 @@ def cmd_verify(args) -> int:
         )
 
     count_fails = []
+    _, per_element = _introduction_counts(records)
     for d in ctx.dims:
         for x in d.elements:
-            introduced_here = sum(
-                1 for r in records if x in r.introduced(d.index)
-            )
+            introduced_here = per_element[d.index, x]
             expected = len(enumerate_concepts(ctx.slice(d.index, x)))
             if introduced_here != expected:
                 count_fails.append(f"{d.name}/{x}: {introduced_here} != {expected}")

@@ -45,19 +45,12 @@ class ConceptSet:
         self._as_set = frozenset(concepts)
 
     @classmethod
-    def collect(
-        cls,
-        ctx: NContext,
-        items: Iterable[ComponentTuple],
-        *,
-        verify: bool = True,
-    ) -> "ConceptSet":
-        """Deduplicate, canonically sort, and (by default) verify members."""
+    def collect(cls, ctx: NContext, items: Iterable[ComponentTuple]) -> "ConceptSet":
+        """Deduplicate, verify and canonically sort members."""
         unique = set(items)
-        if verify:
-            for t in unique:
-                if not ctx.is_concept(t):
-                    raise InputError(f"{t} is not a concept of {ctx!r}")
+        for t in unique:
+            if not ctx.is_concept(t):
+                raise InputError(f"{t} is not a concept of {ctx!r}")
         return cls(tuple(sorted(unique, key=ctx.sort_key)))
 
     @property
@@ -261,4 +254,4 @@ def brute_force_concepts(
         )
         if ctx.is_concept(t):
             hits.add(t)
-    return ConceptSet.collect(ctx, hits, verify=False)
+    return ConceptSet(tuple(sorted(hits, key=ctx.sort_key)))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .concepts import ConceptSet
 from .context import ComponentTuple, Dimension, InputError, NContext
@@ -62,6 +62,11 @@ class ParseError(ValueError):
 # -- parsing -----------------------------------------------------------------
 
 
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Lines with their 1-based numbers, after one leading byte-order mark."""
+    return enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
+
+
 def _split_line(raw: str, sep: str | None, line_no: int) -> list[str]:
     fields = [f.strip() for f in (raw.split(sep) if sep else [raw.strip()])]
     if any(not f for f in fields):
@@ -74,9 +79,7 @@ def parse_tuples(text: str) -> NContext:
     headers: list[tuple[str, tuple[str, ...], int]] = []
     body: list[tuple[int, str]] = []
     seen_body = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if line_no == 1:
-            raw = raw.lstrip("﻿")
+    for line_no, raw in _numbered_lines(text):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -151,14 +154,12 @@ def parse_cross_table(text: str) -> NContext:
     """Parse a 2-dimensional cross table into a context."""
     lines = [
         (no, raw)
-        for no, raw in enumerate(text.splitlines(), start=1)
+        for no, raw in _numbered_lines(text)
         if raw.strip() and not raw.strip().startswith("#")
     ]
     if not lines:
         raise ParseError("empty cross table", 1)
     head_no, head = lines[0]
-    if head.startswith("﻿"):
-        head = head.lstrip("﻿")
     sep = "\t" if "\t" in head else ("," if "," in head else None)
     if sep is None:
         raise ParseError("a cross table needs tab- or comma-separated columns", head_no)
@@ -198,7 +199,7 @@ def parse_cross_table(text: str) -> NContext:
 def parse_context(text: str) -> NContext:
     """Parse either format: cross table when the first content line starts
     with a separator (empty corner cell), tuple file otherwise."""
-    for raw in text.splitlines():
+    for _, raw in _numbered_lines(text):
         if raw.strip() and not raw.strip().startswith("#"):
             if raw.startswith(("\t", ",")):
                 return parse_cross_table(text)

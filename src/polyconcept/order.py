@@ -5,11 +5,13 @@ Concepts are compared per dimension by inclusion of the matching component.
 an n-ordered set: no two distinct members agree in every dimension
 (uniqueness), and whenever one member is below another in all dimensions but
 one, the other is below it in the remaining dimension (antiordinal
-dependency).  Both run on bitsets over member positions, built per label.
+dependency).  Since a single dimension induces only a quasi-order, diagrams
+group members into equivalence classes (equal component) and draw the
+covering relation of the classes after transitive reduction.
 
-Since a single dimension induces only a quasi-order, diagrams group members
-into equivalence classes (equal component) and draw the covering relation of
-the classes after transitive reduction, computed on bitsets of classes.
+Both are built from one kernel, ``_inclusion``: for each of a list of
+components, the bitsets of the positions whose component contains it and of
+those whose component it contains.
 """
 
 from __future__ import annotations
@@ -32,6 +34,33 @@ def _tuple_of(member) -> ComponentTuple:
     )
 
 
+def _inclusion(comps: Sequence[Sequence]) -> tuple[list[int], list[int]]:
+    """Inclusion between components, as two bitsets over positions per position.
+
+    ``up[p]`` holds the positions whose component contains ``comps[p]``: the
+    AND, over p's labels, of the positions holding each label.  ``down[p]``
+    holds the positions whose component is contained in ``comps[p]``: everyone
+    but the OR over the labels p lacks.  Both include p itself.
+    """
+    everyone = (1 << len(comps)) - 1
+    has: dict = {}  # label -> positions whose component holds it
+    for p, comp in enumerate(comps):
+        for label in comp:
+            has[label] = has.get(label, 0) | 1 << p
+    up, down = [], []
+    for comp in comps:
+        held = set(comp)
+        above, lacks = everyone, 0
+        for label, bits in has.items():
+            if label in held:
+                above &= bits
+            else:
+                lacks |= bits
+        up.append(above)
+        down.append(everyone & ~lacks)
+    return up, down
+
+
 def leq(a, b, dim: int) -> bool:
     """Is a below b in dimension ``dim`` (1-based)?  Subset of components."""
     ta, tb = _tuple_of(a), _tuple_of(b)
@@ -39,7 +68,8 @@ def leq(a, b, dim: int) -> bool:
         raise InputError("cannot compare tuples of different arity")
     if not 1 <= dim <= ta.arity:
         raise InputError(f"dimension index {dim} out of range 1..{ta.arity}")
-    return set(ta.components[dim - 1]) <= set(tb.components[dim - 1])
+    up, _ = _inclusion([ta.components[dim - 1], tb.components[dim - 1]])
+    return bool(up[0] & 2)  # bit 1: b's component contains a's
 
 
 @dataclass(frozen=True)
@@ -68,41 +98,22 @@ def check_n_ordered(members: Sequence) -> OrderReport:
     component content count as uniqueness violations, which is the point of
     accepting a list rather than an already deduplicated set.
 
-    Per dimension, ``has[label]`` is the bitset of members whose component
-    holds the label.  The members above p are the AND of ``has`` over p's
-    labels; those below p are everyone but the OR over the labels p lacks.
+    Per dimension, ``_inclusion`` gives the members above and below each
+    member; the axioms are then unions and intersections of those bitsets.
     """
     tuples = [_tuple_of(m) for m in members]
-    if tuples:
-        n = tuples[0].arity
-        for t in tuples:
-            if t.arity != n:
-                raise InputError("members have mixed arity")
-    else:
-        n = 0
+    n = tuples[0].arity if tuples else 0
+    if any(t.arity != n for t in tuples):
+        raise InputError("members have mixed arity")
     everyone = (1 << len(tuples)) - 1
-    has: list[dict[str, int]] = [{} for _ in range(n)]
-    for p, t in enumerate(tuples):
-        for i, comp in enumerate(t.components):
-            for label in comp:
-                has[i][label] = has[i].get(label, 0) | 1 << p
+    rel = [_inclusion([t.components[i] for t in tuples]) for i in range(n)]
+    sizes = tuple(sum(u.bit_count() for u in up) - len(tuples) for up, _ in rel)
 
     uniq: set[tuple[ComponentTuple, ComponentTuple]] = set()
     anti: set[tuple[ComponentTuple, ComponentTuple]] = set()
-    sizes = [0] * n
     for p, t in enumerate(tuples):
-        ups, downs = [], []  # per dimension: members above p, members below p
-        for i, comp in enumerate(t.components):
-            held = set(comp)
-            up, lacks = everyone, 0
-            for label, bits in has[i].items():
-                if label in held:
-                    up &= bits
-                else:
-                    lacks |= bits
-            ups.append(up)
-            downs.append(everyone & ~lacks)
-            sizes[i] += up.bit_count() - 1
+        ups = [up[p] for up, _ in rel]  # per dimension: members above p
+        downs = [down[p] for _, down in rel]  # per dimension: members below p
         same = everyone >> (p + 1) << (p + 1)  # only pairs with q > p
         bad = 0
         for j in range(n):
@@ -123,7 +134,7 @@ def check_n_ordered(members: Sequence) -> OrderReport:
         uniqueness_violations=order_pairs(uniq),
         antiordinal_ok=not anti,
         antiordinal_violations=order_pairs(anti),
-        per_dimension_relation_sizes=tuple(sizes),
+        per_dimension_relation_sizes=sizes,
     )
 
 
@@ -152,42 +163,32 @@ class DimensionDiagram:
 def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram:
     """Group members by their component in ``dim``; order classes by inclusion.
 
-    Edges are the covering pairs of the class order: the classes above a
-    class, minus every class above one of those.
+    Members are keyed once with ``ctx.sort_key``, which rejects a wrong arity
+    or an unknown label, and sorted once, so each class comes out in canonical
+    order; classes are ordered by their component's key.  Edges are the
+    covering pairs: the classes above a class, minus every class above one of
+    those.
     """
     i0 = ctx._dim0(dim)
-    groups: dict[tuple[str, ...], list] = {}
-    for m in members:
-        t = _tuple_of(m)
-        if t.arity != ctx.arity:
-            raise InputError("member arity does not match the context")
-        groups.setdefault(t.components[i0], []).append(m)
-
-    def comp_key(component: tuple[str, ...]):
-        return tuple(ctx.dims[i0].position(lb) for lb in component)
-
-    keys = sorted(groups, key=comp_key)
+    keyed = [(ctx.sort_key(_tuple_of(m)), m) for m in members]
+    keyed.sort(key=lambda km: km[0])
+    groups: dict[tuple[int, ...], list] = {}
+    for key, m in keyed:
+        groups.setdefault(key[i0], []).append(m)
+    comps = sorted(groups)
     nodes = tuple(
-        DiagramNode(
-            component=key,
-            members=tuple(
-                sorted(groups[key], key=lambda m: ctx.sort_key(_tuple_of(m)))
-            ),
-        )
-        for key in keys
+        DiagramNode(_tuple_of(groups[c][0]).components[i0], tuple(groups[c]))
+        for c in comps
     )
-    masks = [sum(1 << p for p in set(comp_key(key))) for key in keys]
-    # ups[a]: bitset of the classes strictly above class a
-    ups = [
-        sum(1 << b for b, mb in enumerate(masks) if ma != mb and ma & ~mb == 0)
-        for ma in masks
-    ]
+    up, down = _inclusion(comps)
+    # ups[a]: classes strictly above class a: containing it, not contained in it
+    ups = [u & ~d for u, d in zip(up, down)]
     edges = []
-    for a, up in enumerate(ups):
+    for a, above in enumerate(ups):
         beyond = 0
-        for c in _elements(up):
+        for c in _elements(above):
             beyond |= ups[c]
-        edges.extend((a, b) for b in _elements(up & ~beyond))
+        edges.extend((a, b) for b in _elements(above & ~beyond))
     return DimensionDiagram(dimension=i0 + 1, nodes=nodes, edges=tuple(edges))
 
 

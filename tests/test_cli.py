@@ -127,6 +127,14 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     assert res.stderr.count("\n") == 1
 
 
+def test_cross_table_with_byte_order_mark(tmp_path):
+    f = tmp_path / "export.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + Path(FIG1_CSV).read_bytes())
+    res = run_cli("concepts", str(f))
+    assert res.returncode == 0
+    assert res.stdout == run_cli("concepts", FIG1_CSV).stdout
+
+
 def test_order_dot_output():
     res = run_cli("order", FIG1_TSV, "--dim", "1")
     assert res.returncode == 0

@@ -25,6 +25,7 @@ from conftest import FIXTURES, box
 FIG3_TUPLE_TEXT = (FIXTURES / "fig3.tsv").read_text(encoding="utf-8")
 FIG1_TUPLE_TEXT = (FIXTURES / "fig1.tsv").read_text(encoding="utf-8")
 FIG1_TABLE_TEXT = (FIXTURES / "fig1.csv").read_text(encoding="utf-8")
+BOM = "\ufeff"
 
 
 class TestParseTuples:
@@ -113,10 +114,19 @@ class TestParseCrossTable:
 
 class TestParseContext:
     def test_detects_cross_table_by_corner(self):
-        assert parse_context(FIG1_TABLE_TEXT).dims[0].name == "objects"
+        plain = parse_context(FIG1_TABLE_TEXT)
+        assert plain.dims[0].name == "objects"
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        for text in (BOM + FIG1_TABLE_TEXT, BOM + "# exported\n" + FIG1_TABLE_TEXT):
+            assert parse_context(text) == plain
+            assert parse_cross_table(text) == plain
 
     def test_detects_tuple_file(self):
-        assert parse_context(FIG3_TUPLE_TEXT).dims[0].name == "dim1"
+        plain = parse_context(FIG3_TUPLE_TEXT)
+        assert plain.dims[0].name == "dim1"
+        for text in (BOM + FIG3_TUPLE_TEXT, BOM + "# exported\n" + FIG3_TUPLE_TEXT):
+            assert parse_context(text) == plain
+            assert parse_tuples(text) == plain
 
     def test_detection_skips_comments(self):
         assert parse_context("# note\n,a\n1,x\n").dims[0].name == "objects"

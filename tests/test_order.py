@@ -94,22 +94,7 @@ class TestAxioms:
         assert report.per_dimension_relation_sizes == (1, 1)
 
     def test_matches_pairwise_reference_on_random_boxes(self):
-        # arbitrary boxes, not concepts, so both axioms are violated; some
-        # components are empty and some members repeat
-        for seed in range(40):
-            rng = random.Random(seed)
-            n = 1 + seed % 4
-            labels = [f"e{k}" for k in range(rng.randint(1, 4))]
-            pool = [
-                ComponentTuple(
-                    tuple(
-                        tuple(lb for lb in labels if rng.random() < 0.5)
-                        for _ in range(n)
-                    )
-                )
-                for _ in range(rng.randint(1, 8))
-            ]
-            members = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        for n, _, members in _random_box_lists():
             uniq, anti, sizes = _pairwise_reference(members, n)
             report = check_n_ordered(members)
             assert report.uniqueness_violations == uniq
@@ -123,6 +108,29 @@ class TestAxioms:
         report = check_n_ordered([])
         assert report.ok
         assert report.per_dimension_relation_sizes == ()
+
+
+def _random_box_lists():
+    """40 seeded member lists of arity 1-4, as (arity, labels, members).
+
+    The members are arbitrary boxes, not concepts, so both axioms are
+    violated; some components are empty and some members repeat.  Every
+    dimension draws from the same labels.
+    """
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 1 + seed % 4
+        labels = [f"e{k}" for k in range(rng.randint(1, 4))]
+        pool = [
+            ComponentTuple(
+                tuple(
+                    tuple(lb for lb in labels if rng.random() < 0.5)
+                    for _ in range(n)
+                )
+            )
+            for _ in range(rng.randint(1, 8))
+        ]
+        yield n, labels, [rng.choice(pool) for _ in range(rng.randint(0, 12))]
 
 
 def _pairwise_reference(members, n):
@@ -220,6 +228,29 @@ class TestDimensionDiagram:
                     }
                     assert reach(a) == expected
 
+    def test_matches_reference_on_random_boxes(self):
+        for n, labels, members in _random_box_lists():
+            ctx = NContext([(f"d{i}", labels) for i in range(n)], [])
+            for i in range(n):
+                diagram = dimension_diagram(ctx, members, i + 1)
+                assert diagram.dimension == i + 1
+                nodes, edges = _diagram_reference(labels, members, i)
+                assert [(nd.component, nd.members) for nd in diagram.nodes] == nodes
+                assert diagram.edges == edges
+
+    def test_equal_sets_in_distinct_classes_are_not_ordered(self, fig1):
+        # ComponentTuple does not canonicalise, so two classes can hold the
+        # same set; neither is strictly above the other
+        members = [box("1", "ab"), box("1", "ba"), box("11", "a")]
+        diagram = dimension_diagram(fig1, members, 2)
+        assert [n.component for n in diagram.nodes] == [("a",), ("a", "b"), ("b", "a")]
+        assert diagram.edges == ((0, 1), (0, 2))
+
+    def test_rejects_bad_members(self, fig1):
+        for bad in (box("1", "a", "a"), box("1"), box("9", "a"), box("1", "z")):
+            with pytest.raises(InputError):
+                dimension_diagram(fig1, [box("1", "ab"), bad], 1)
+
     def test_classes_partition_members(self, fig3):
         members = list(enumerate_concepts(fig3))
         diagram = dimension_diagram(fig3, members, 2)
@@ -227,6 +258,28 @@ class TestDimensionDiagram:
         assert sorted(spread, key=fig3.sort_key) == sorted(
             members, key=fig3.sort_key
         )
+
+
+def _diagram_reference(labels, members, i):
+    """Classes, their members and covering edges of dimension i, by comparing
+    frozensets pairwise; every dimension is ordered like ``labels``."""
+
+    def key(comp):
+        return tuple(labels.index(lb) for lb in comp)
+
+    ordered = sorted(members, key=lambda m: tuple(key(c) for c in m.components))
+    comps = sorted({m.components[i] for m in members}, key=key)
+    nodes = [
+        (c, tuple(m for m in ordered if m.components[i] == c)) for c in comps
+    ]
+    sets = [frozenset(c) for c in comps]
+    edges = tuple(
+        (a, b)
+        for a, sa in enumerate(sets)
+        for b, sb in enumerate(sets)
+        if sa < sb and not any(sa < sc < sb for sc in sets)
+    )
+    return nodes, edges
 
 
 class TestGsh2d:
