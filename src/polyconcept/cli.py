@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     except (ParseError, InputError, OSError, OracleInfeasibleError) as exc:
         _note(f"error: {exc}")
         return 2
+    except MemoryError:
+        _note("error: out of memory")
+        return 2
 
 
 if __name__ == "__main__":

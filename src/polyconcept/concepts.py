@@ -8,8 +8,8 @@ context, and the introducer computation runs it with one element pinned for
 the concepts of each slice, in place.
 ``brute_force_concepts`` is the exhaustive oracle: it walks every subset
 combination of all dimensions but the largest, derives the remaining maximal
-component, and keeps what passes ``is_concept``.  The two must agree on every
-input the oracle can afford, and the test suite holds them to that.
+component, and keeps what passes the concept test.  The two must agree on
+every input the oracle can afford, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -46,12 +46,17 @@ class ConceptSet:
 
     @classmethod
     def collect(cls, ctx: NContext, items: Iterable[ComponentTuple]) -> "ConceptSet":
-        """Deduplicate, verify and canonically sort members."""
-        unique = set(items)
-        for t in unique:
-            if not ctx.is_concept(t):
-                raise InputError(f"{t} is not a concept of {ctx!r}")
-        return cls(tuple(sorted(unique, key=ctx.sort_key)))
+        """Deduplicate, verify and canonically sort members, each keyed once
+        with ``ctx.sort_key``, which rejects a tuple not canonical for ctx."""
+        return cls._of_keys(ctx, {ctx.sort_key(t) for t in items})
+
+    @classmethod
+    def _of_keys(cls, ctx: NContext, keys) -> "ConceptSet":
+        """Verify distinct index tuples, sort them and label each once."""
+        for pos in keys:
+            if not ctx._is_concept_pos(pos):
+                raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
+        return cls(tuple(ctx._labelled(pos) for pos in sorted(keys)))
 
     @property
     def concepts(self) -> tuple[ComponentTuple, ...]:
@@ -193,12 +198,10 @@ def enumerate_concepts(
     """
     found: set[tuple[tuple[int, ...], ...]] = set()
     for pos in closed_boxes(ctx, [0] * ctx.arity):
-        if not ctx._is_concept_pos(pos):
-            raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
         found.add(pos)
         if max_concepts is not None and len(found) > max_concepts:
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")
-    return ConceptSet(tuple(ctx._labelled(pos) for pos in sorted(found)))
+    return ConceptSet._of_keys(ctx, found)
 
 
 def oracle_cost(ctx: NContext) -> int:
@@ -223,18 +226,17 @@ def brute_force_concepts(
     """Definitionally complete concept enumeration, for verification only.
 
     Walks every subset combination of all dimensions except the largest,
-    derives the maximal remaining component, and filters with ``is_concept``.
-    Refuses inputs whose combination count exceeds ``cap``.
+    derives the maximal remaining component, and keeps the index tuples that
+    pass the concept test, sorted and labelled once.  Refuses inputs whose
+    combination count exceeds ``cap``.
     """
     cost = oracle_cost(ctx)
     if cost > cap:
         raise OracleInfeasibleError(
             f"oracle infeasible: {cost} subset combinations exceed cap {cap}"
         )
-    n = ctx.arity
     sizes = [len(d) for d in ctx.dims]
     k = sizes.index(max(sizes))
-    width_dims = [j for j in range(n) if j != k]
 
     def subsets(size: int):
         return itertools.chain.from_iterable(
@@ -242,16 +244,9 @@ def brute_force_concepts(
         )
 
     hits = set()
-    for combo in itertools.product(*(subsets(sizes[j]) for j in width_dims)):
-        ext = ctx._extend_pos(k, combo)
-        pos = list(combo)
-        pos.insert(k, ext)
-        t = ComponentTuple(
-            tuple(
-                tuple(d.elements[p] for p in comp)
-                for d, comp in zip(ctx.dims, pos)
-            )
-        )
-        if ctx.is_concept(t):
-            hits.add(t)
-    return ConceptSet(tuple(sorted(hits, key=ctx.sort_key)))
+    widths = (subsets(s) for j, s in enumerate(sizes) if j != k)
+    for combo in itertools.product(*widths):
+        pos = combo[:k] + (ctx._extend_pos(k, combo),) + combo[k:]
+        if ctx._is_concept_pos(pos):
+            hits.add(pos)
+    return ConceptSet(tuple(ctx._labelled(pos) for pos in sorted(hits)))

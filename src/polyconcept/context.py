@@ -14,6 +14,7 @@ of every component set produced by the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Iterable, Sequence
 
 
@@ -91,23 +92,27 @@ class Dimension:
                 f"element {label!r} is not in dimension {self.name!r}"
             ) from None
 
-    def canonical(self, labels: Iterable[str]) -> tuple[str, ...]:
-        """Deduplicate and sort labels into the dimension's element order."""
+    def _positions(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """Sorted, deduplicated positions of a collection of labels."""
         if isinstance(labels, str):
             raise InputError(
                 f"component for dimension {self.name!r} must be an iterable of "
                 f"labels, not the bare string {labels!r}"
             )
-        positions = sorted({self.position(lb) for lb in labels})
-        return tuple(self.elements[p] for p in positions)
+        return tuple(sorted({self.position(lb) for lb in labels}))
+
+    def canonical(self, labels: Iterable[str]) -> tuple[str, ...]:
+        """Deduplicate and sort labels into the dimension's element order."""
+        return tuple(self.elements[p] for p in self._positions(labels))
 
 
 @dataclass(frozen=True)
 class ComponentTuple:
     """An n-tuple of element subsets, one per dimension, in canonical form.
 
-    Each component is stored sorted by its dimension's element order, so two
-    tuples are equal exactly when they are equal as tuples of sets.  A
+    Each component lists its labels once, in its dimension's element order
+    (``NContext.box`` builds it; context methods reject any other form), so
+    two tuples are equal exactly when they are equal as tuples of sets.  A
     ComponentTuple is just a box; it need not be full or maximal.
     """
 
@@ -218,10 +223,7 @@ class NContext:
     @property
     def relation(self) -> frozenset[tuple[str, ...]]:
         """The relation as a frozenset of label tuples."""
-        return frozenset(
-            tuple(d.elements[p] for d, p in zip(self._dims, t))
-            for t in self._rel
-        )
+        return frozenset(self.tuples())
 
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
@@ -288,22 +290,29 @@ class NContext:
             tuple(d.canonical(c) for d, c in zip(self._dims, components))
         )
 
-    def _validated(self, t: ComponentTuple) -> tuple[tuple[int, ...], ...]:
-        """Check a ComponentTuple against this context; return index components."""
+    def sort_key(self, t: ComponentTuple) -> tuple[tuple[int, ...], ...]:
+        """Index components of a canonical ComponentTuple; they sort totally.
+
+        The one checked step from labels to indices: raises ``InputError``
+        for a non-ComponentTuple, a wrong arity, an unknown label, or labels
+        not strictly increasing in their dimension's element order.
+        """
         if not isinstance(t, ComponentTuple):
             raise InputError(f"expected a ComponentTuple, got {type(t).__name__}")
         if t.arity != self._arity:
             raise InputError(
                 f"tuple has arity {t.arity}, context has arity {self._arity}"
             )
-        return tuple(
-            tuple(d.position(lb) for lb in comp)
-            for d, comp in zip(self._dims, t.components)
-        )
-
-    def sort_key(self, t: ComponentTuple):
-        """Total canonical order: lexicographic over index-sorted components."""
-        return self._validated(t)
+        key = []
+        for d, comp in zip(self._dims, t.components):
+            pos = tuple(map(d.position, comp))
+            if any(map(ge, pos, pos[1:])):  # unsorted or repeated
+                raise InputError(
+                    f"component {d.index} of {t} is not strictly increasing in "
+                    f"the element order of dimension {d.name!r}"
+                )
+            key.append(pos)
+        return tuple(key)
 
     # -- bit-row machinery ---------------------------------------------------
 
@@ -344,14 +353,15 @@ class NContext:
 
         A tuple with any empty component is vacuously full.
         """
-        pos = self._validated(t)
+        pos = self.sort_key(t)
         w = self._width_bits(0, pos[1:])
         layer = self._layers[0]
         return all(layer[e] & w == w for e in pos[0])
 
     def is_concept(self, t: ComponentTuple) -> bool:
-        """True iff t is a full box that is maximal in every dimension."""
-        return self._is_concept_pos(self._validated(t))
+        """True iff t, checked by ``sort_key``, is a full box maximal in every
+        dimension."""
+        return self._is_concept_pos(self.sort_key(t))
 
     def _is_concept_pos(self, pos: tuple[tuple[int, ...], ...]) -> bool:
         """``is_concept`` on index components: each equals the extension of
@@ -403,9 +413,5 @@ class NContext:
             )
         i0 = self._dim0(side)
         j0 = 1 - i0
-        xs = tuple(
-            self._dims[i0].position(lb)
-            for lb in self._dims[i0].canonical(labels)
-        )
-        pos = self._extend_pos(j0, (xs,))
+        pos = self._extend_pos(j0, (self._dims[i0]._positions(labels),))
         return tuple(self._dims[j0].elements[p] for p in pos)

@@ -63,8 +63,13 @@ class ParseError(ValueError):
 
 
 def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Lines with their 1-based numbers, after one leading byte-order mark."""
-    return enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
+    """Content lines with their 1-based numbers, after one leading byte-order
+    mark; blank lines and '#' comment lines are skipped."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, raw
 
 
 def _split_line(raw: str, sep: str | None, line_no: int) -> list[str]:
@@ -81,8 +86,6 @@ def parse_tuples(text: str) -> NContext:
     seen_body = False
     for line_no, raw in _numbered_lines(text):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         if stripped.startswith("!"):
             if seen_body:
                 raise ParseError("header line after body lines", line_no)
@@ -152,11 +155,7 @@ def parse_tuples(text: str) -> NContext:
 
 def parse_cross_table(text: str) -> NContext:
     """Parse a 2-dimensional cross table into a context."""
-    lines = [
-        (no, raw)
-        for no, raw in _numbered_lines(text)
-        if raw.strip() and not raw.strip().startswith("#")
-    ]
+    lines = list(_numbered_lines(text))
     if not lines:
         raise ParseError("empty cross table", 1)
     head_no, head = lines[0]
@@ -200,10 +199,9 @@ def parse_context(text: str) -> NContext:
     """Parse either format: cross table when the first content line starts
     with a separator (empty corner cell), tuple file otherwise."""
     for _, raw in _numbered_lines(text):
-        if raw.strip() and not raw.strip().startswith("#"):
-            if raw.startswith(("\t", ",")):
-                return parse_cross_table(text)
-            return parse_tuples(text)
+        if raw.startswith(("\t", ",")):
+            return parse_cross_table(text)
+        return parse_tuples(text)
     raise ParseError("empty input", 1)
 
 

@@ -86,11 +86,7 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
         raise InputError(
             f"width has {len(comps)} components, expected {len(others)}"
         )
-    pos = tuple(
-        tuple(d.position(lb) for lb in d.canonical(c))
-        for d, c in zip(others, comps)
-    )
-    ext = ctx._extend_pos(i0, pos)
+    ext = ctx._extend_pos(i0, [d._positions(c) for d, c in zip(others, comps)])
     return tuple(ctx.dims[i0].elements[p] for p in ext)
 
 

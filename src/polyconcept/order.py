@@ -163,11 +163,11 @@ class DimensionDiagram:
 def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram:
     """Group members by their component in ``dim``; order classes by inclusion.
 
-    Members are keyed once with ``ctx.sort_key``, which rejects a wrong arity
-    or an unknown label, and sorted once, so each class comes out in canonical
-    order; classes are ordered by their component's key.  Edges are the
-    covering pairs: the classes above a class, minus every class above one of
-    those.
+    Members are keyed once with ``ctx.sort_key``, which rejects a wrong
+    arity, an unknown label or a non-canonical component, and sorted once, so
+    each class comes out in canonical order and holds one set; classes are
+    ordered by their component's key.  Edges are the covering pairs: the
+    classes above a class, minus every class above one of those.
     """
     i0 = ctx._dim0(dim)
     keyed = [(ctx.sort_key(_tuple_of(m)), m) for m in members]
@@ -180,9 +180,8 @@ def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram
         DiagramNode(_tuple_of(groups[c][0]).components[i0], tuple(groups[c]))
         for c in comps
     )
-    up, down = _inclusion(comps)
-    # ups[a]: classes strictly above class a: containing it, not contained in it
-    ups = [u & ~d for u, d in zip(up, down)]
+    up, _ = _inclusion(comps)
+    ups = [u & ~(1 << a) for a, u in enumerate(up)]  # classes strictly above a
     edges = []
     for a, above in enumerate(ups):
         beyond = 0

@@ -1,4 +1,5 @@
-"""End-to-end command-line behaviour via real subprocesses."""
+"""End-to-end command-line behaviour via real subprocesses, plus in-process
+checks of failures that a subprocess cannot provoke."""
 
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from conftest import FIXTURES, long_thin_context
 
-from polyconcept import serialize_tuples
+from polyconcept import cli, serialize_tuples
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -125,6 +126,17 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1
+
+
+def test_out_of_memory_is_exit_2(monkeypatch, capsys):
+    def exhausted(ctx, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_concepts", exhausted)
+    assert cli.main(["concepts", FIG3_TSV]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_cross_table_with_byte_order_mark(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from polyconcept import (
     ConceptLimitError,
     ConceptSet,
+    InputError,
     NContext,
     OracleInfeasibleError,
     brute_force_concepts,
@@ -145,8 +146,11 @@ def test_concept_set_order_is_canonical(fig1):
 
 
 def test_concept_set_rejects_non_concepts(fig1):
-    with pytest.raises(Exception):
+    with pytest.raises(InputError):
         ConceptSet.collect(fig1, [box("1", "a")])
+    # (1, ab) is a concept, but only in its canonical form
+    with pytest.raises(InputError):
+        ConceptSet.collect(fig1, [box("1", "ab"), box("1", "ba")])
 
 
 def test_oracle_guard_refuses_large_contexts():

@@ -148,6 +148,19 @@ class TestBoxPredicates:
             fig3.is_concept(box("γ", "13", "a"))
         with pytest.raises(InputError):
             fig3.is_full_box(("αβ", "13", "a"))
+        # components must be canonical: labels strictly increasing in the
+        # dimension's element order, so neither unsorted nor repeated
+        for bad in (
+            box("βα", "13", "a"), box("αβ", "31", "a"),
+            box("αα", "13", "a"), box("αβ", "133", "a"),
+        ):
+            with pytest.raises(InputError):
+                fig3.is_concept(bad)
+            with pytest.raises(InputError):
+                fig3.is_full_box(bad)
+            with pytest.raises(InputError):
+                fig3.sort_key(bad)
+        assert fig3.sort_key(box("αβ", "13", "a")) == ((0, 1), (0, 2), (0,))
 
 
 class TestDerive:
