@@ -63,13 +63,15 @@ def _dim_arg(value: str):
 
 def _oracle_cap(args) -> int:
     cap = getattr(args, "cap", None)
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV)
-    try:
-        return int(env) if env else DEFAULT_ORACLE_CAP
-    except ValueError:
-        raise InputError(f"${CAP_ENV} must be an integer, got {env!r}") from None
+    if cap is None:
+        env = os.environ.get(CAP_ENV)
+        try:
+            cap = int(env) if env else DEFAULT_ORACLE_CAP
+        except ValueError:
+            raise InputError(f"${CAP_ENV} must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise InputError(f"the oracle cap must not be negative, got {cap}")
+    return cap
 
 
 def _write_diagram(ctx, diagram, fmt: str, name: str) -> None:

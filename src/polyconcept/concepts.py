@@ -1,11 +1,12 @@
 """Enumeration of all n-concepts of a context.
 
-One search, ``closed_boxes``, is a closed n-set miner over per-dimension
-bitmasks in the style of Data-Peeler (Cerf, Besson, Robardet & Boulicaut,
-*Closed Patterns Meet n-ary Relations*, TKDD 2009).  It has two callers:
-``enumerate_concepts`` runs it from the empty box for the concepts of a
-context, and the introducer computation runs it with one element pinned for
-the concepts of each slice, in place.
+One search, ``closed_tuples``, enumerates the concepts of an n-ary relation
+held as one ``int`` bitmask: Close-by-One (Kuznetsov & Obiedkov, JETAI 2002)
+over one dimension against the cells of the others, nested once per
+dimension in the manner of TRIAS (Jäschke, Hotho, Schmitz, Ganter & Stumme,
+ICDM 2006).  It has two callers: ``enumerate_concepts`` runs it on the
+relation of a context, and the introducer computation runs it on each
+slice's row of that relation.
 ``brute_force_concepts`` is the exhaustive oracle: it walks every subset
 combination of all dimensions but the largest, derives the remaining maximal
 component, and keeps what passes the concept test.  The two must agree on
@@ -15,9 +16,10 @@ every input the oracle can afford, and the test suite holds them to that.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+import math
+from typing import Iterable, Iterator, Sequence
 
-from .context import ComponentTuple, InputError, NContext
+from .context import ComponentTuple, InputError, NContext, _strides
 
 DEFAULT_ORACLE_CAP = 1 << 20
 
@@ -101,90 +103,77 @@ def _elements(mask: int) -> list[int]:
     return out
 
 
-def _covering(layer: list[int], w: int, members: int) -> int:
-    """The bits of ``members`` whose layer row contains every bit of ``w``."""
-    hit = 0
-    while members:
-        low = members & -members
-        if layer[low.bit_length() - 1] & w == w:
-            hit |= low
-        members ^= low
-    return hit
+def _relaid(rel: int, sizes: Sequence[int], order: Sequence[int]) -> int:
+    """``rel`` with its dimensions taken in ``order``, in the same layout."""
+    new = dict(zip(order, _strides([sizes[k] for k in order])))
+    moves = [(o, s, new[k]) for k, (o, s) in enumerate(zip(_strides(sizes), sizes))]
+    return sum(1 << sum(c // o % s * w for o, s, w in moves) for c in _elements(rel))
 
 
-def closed_boxes(
-    ctx: NContext, kept: list[int]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Closed full boxes of ``ctx`` containing a starting box, as indices.
+def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
+    """(component masks, box mask) of every concept of ``rel``, each once.
 
-    ``kept`` holds one ``int`` bitmask per dimension, a full box every result
-    contains.  A dimension whose starting mask is non-empty is pinned: it gets
-    no candidates and no discards.  Pinning element x of dimension i thus
-    yields the concepts of the slice at x in the parent's coordinates, with
-    ``(x,)`` in component i; the empty box yields the concepts of ``ctx``.
-
-    Search state per dimension, each an ``int`` bitmask over its elements:
-    kept elements, undecided candidates, and discarded elements.  A candidate
-    whose layer does not cover the product of the kept components is dropped,
-    at the start and after each keep.  At each node, a candidate whose layer
-    covers the whole still-reachable box (kept plus candidates) is forced in,
-    and the node is abandoned as soon as a discarded element's layer covers
-    it, because no closed box below can avoid that element.
-
-    Nodes wait on an explicit stack, so search depth is not bounded by the
-    interpreter's recursion limit.  Each branch takes the dimension with the
-    fewest candidates left (ties to the lowest dimension) and its lowest
-    element index, keeping it in one child and discarding it in the other,
-    so the search is deterministic and reaches each box once.
+    Close-by-One walks the closed pairs (A, C) of the first dimension against
+    the cells of the others on an explicit stack: a child adds an element j
+    above the last one added and is kept only if its closure adds none below
+    j.  Each concept T of C as an (n-1)-ary relation gives the concept
+    (A, T) iff A is the whole extension of T's box.  A 1-ary relation is its
+    own single concept.  Box masks are built only when ``boxed``.
     """
-    n = ctx.arity
-    layers = ctx._layers
-    width = ctx._width_bits
+    if len(sizes) == 1:
+        yield (rel,), rel
+        return
+    stride = math.prod(sizes[1:])
+    full = (1 << stride) - 1
+    # One (bit, cell row) pair per element of the outer dimension.
+    rows = [(1 << a, rel >> a * stride & full) for a in range(sizes[0])]
 
-    def fit(cand: list[int], comps: list[list[int]], skip: int = -1) -> None:
-        for j in range(n):
-            if j != skip and cand[j]:
-                w = width(j, comps[:j] + comps[j + 1 :])
-                cand[j] = _covering(layers[j], w, cand[j])
+    def ext(cells: int) -> int:
+        return sum([bit for bit, row in rows if row & cells == cells])
 
-    cand = [0 if k else (1 << len(row)) - 1 for k, row in zip(kept, layers)]
-    fit(cand, [_elements(k) for k in kept])
-    stack = [(list(kept), cand, [0] * n)]
+    stack = [(ext(full), full, 0)]
     while stack:
-        kept, cand, out = stack.pop()
-        # Forced moves keep kept|cand unchanged, so one pass is a fixpoint.
-        reach = [_elements(k | c) for k, c in zip(kept, cand)]
-        for i in range(n):
-            if not (cand[i] or out[i]):
-                continue
-            w = width(i, reach[:i] + reach[i + 1 :])
-            if _covering(layers[i], w, out[i]):
-                break
-            forced = _covering(layers[i], w, cand[i])
-            kept[i] |= forced
-            cand[i] ^= forced
-        else:
-            counts = [(c.bit_count(), i) for i, c in enumerate(cand) if c]
-            if not counts:
-                yield tuple(tuple(_elements(k)) for k in kept)
-                continue
-            i = min(counts)[1]
-            bit = cand[i] & -cand[i]
-            # Keeping the element adds cells to the kept box only where
-            # component i holds it, so a candidate of another dimension still
-            # fits iff its layer covers the cells of that one-element slice.
-            kept_in = kept.copy()
-            kept_in[i] |= bit
-            cand_in = cand.copy()
-            cand_in[i] ^= bit
-            comps = [_elements(k) for k in kept_in]
-            comps[i] = [bit.bit_length() - 1]
-            fit(cand_in, comps, i)
-            cand[i] ^= bit
-            out_ex = out.copy()
-            out_ex[i] |= bit
-            stack.append((kept, cand, out_ex))
-            stack.append((kept_in, cand_in, out))
+        a, c, y = stack.pop()
+        # ext(c) is a, so a concept whose box is all of c needs no test.
+        for comps, box in _cbo(sizes[1:], c, True):
+            if box == c or ext(box) == a:
+                if boxed:
+                    box = sum(box << p * stride for p in _elements(a))
+                yield (a,) + comps, box
+        for j in range(y, len(rows)):
+            bit, d = rows[j]
+            d &= c
+            if not a & bit and not any(r & d == d for b, r in rows[:j] if not a & b):
+                stack.append((a | ext(d), d, j + 1))
+
+
+def closed_tuples(
+    sizes: Sequence[int], rel: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every concept of an n-ary relation, exactly once, as index tuples.
+
+    ``rel`` masks the cells of a product of dimensions of the given sizes,
+    cell ``(p_1, ..., p_n)`` at bit ``sum(p_k * stride_k)`` with the last
+    dimension fastest, as in the rows of ``NContext._layers``: the concepts
+    of the slice at x of dimension i are ``closed_tuples`` of the other
+    sizes and ``ctx._layers[i][x]``.  The relation is re-laid once with its
+    dimensions from smallest to largest (stable), so every level of the
+    nested search has the smallest dimension left as its outer one, which
+    bounds the cost of a closure; components are mapped back on the way out.
+    """
+    n = len(sizes)
+    order = sorted(range(n), key=sizes.__getitem__)
+    back = sorted(range(n), key=order.__getitem__)
+    if order != sorted(order):
+        rel = _relaid(rel, sizes, order)
+    for masks, _ in _cbo([sizes[k] for k in order], rel, False):
+        yield tuple(tuple(_elements(masks[k])) for k in back)
+
+
+def _relation_mask(ctx: NContext) -> int:
+    """The relation of ``ctx`` as one mask in the layout of its ``_layers``."""
+    cells = math.prod(len(d) for d in ctx.dims[1:])
+    return sum(row << x * cells for x, row in enumerate(ctx._layers[0]))
 
 
 def enumerate_concepts(
@@ -192,12 +181,13 @@ def enumerate_concepts(
 ) -> ConceptSet:
     """All n-concepts of ``ctx``, canonically ordered.
 
-    Every result of ``closed_boxes`` is re-checked with the concept test.
+    Every result of ``closed_tuples`` is re-checked with the concept test.
     ``max_concepts`` is an optional hard cap; exceeding it raises
     ``ConceptLimitError``.
     """
+    sizes = [len(d) for d in ctx.dims]
     found: set[tuple[tuple[int, ...], ...]] = set()
-    for pos in closed_boxes(ctx, [0] * ctx.arity):
+    for pos in closed_tuples(sizes, _relation_mask(ctx)):
         found.add(pos)
         if max_concepts is not None and len(found) > max_concepts:
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")

@@ -50,6 +50,14 @@ def check_dimension_name(name: str) -> str:
     return name
 
 
+def _strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix strides of a cell layout, the last dimension fastest."""
+    strides = [1] * len(sizes)
+    for k in range(len(sizes) - 1, 0, -1):
+        strides[k - 1] = strides[k] * sizes[k]
+    return tuple(strides)
+
+
 @dataclass(frozen=True)
 class Dimension:
     """One axis of a cross table: a named, ordered set of element labels.
@@ -185,15 +193,7 @@ class NContext:
         # except dimension i, then one bit row per (dimension, element), held
         # as a dense list per dimension.
         sizes = [len(d) for d in self._dims]
-        self._strides: list[tuple[int, ...]] = []
-        for i in range(self._arity):
-            other = [s for j, s in enumerate(sizes) if j != i]
-            strides = []
-            acc = 1
-            for s in reversed(other):
-                strides.append(acc)
-                acc *= s
-            self._strides.append(tuple(reversed(strides)))
+        self._strides = [_strides(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
         self._layers: list[list[int]] = [[0] * s for s in sizes]
         for t in self._rel:
             for i in range(self._arity):

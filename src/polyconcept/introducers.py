@@ -4,9 +4,10 @@ For an element x of dimension i, the introducers of x are the concepts that
 contain x in component i and whose remaining components (the width) are
 maximal under componentwise inclusion among such concepts.  They are computed
 here the productive way: enumerate the concepts of the slice at x, and extend
-each one back through dimension i.  The slice is searched in place, by
-pinning x in the parent's search, so no slice context is built.  The
-definition is kept alive as ``introducer_oracle`` to compare the two routes.
+each one back through dimension i.  The slice is x's row of the context's
+bit layers, a relation over the other dimensions, so the enumerator runs on
+it directly and no slice context is built.  The definition is kept alive as
+``introducer_oracle`` to compare the two routes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .concepts import DEFAULT_ORACLE_CAP, brute_force_concepts, closed_boxes
+from .concepts import DEFAULT_ORACLE_CAP, brute_force_concepts, closed_tuples
 from .context import ArityError, ComponentTuple, InputError, NContext
 
 
@@ -94,16 +95,16 @@ def _gather(
     ctx: NContext, dim_positions: Sequence[int]
 ) -> tuple[IntroducerRecord, ...]:
     """Slice-and-extend over the given 0-based dimensions; merge annotations."""
-    n = ctx.arity
+    sizes = [len(d) for d in ctx.dims]
     bucket: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
     for i0 in dim_positions:
         dim = ctx.dims[i0]
-        for x in range(len(dim)):
-            pin = [0] * n
-            pin[i0] = 1 << x
-            for pos in closed_boxes(ctx, pin):
-                ext = ctx._extend_pos(i0, pos[:i0] + pos[i0 + 1 :])
-                concept = pos[:i0] + (ext,) + pos[i0 + 1 :]
+        others = sizes[:i0] + sizes[i0 + 1 :]
+        for x, layer in enumerate(ctx._layers[i0]):
+            for width in closed_tuples(others, layer):
+                ext = ctx._extend_pos(i0, width)
+                pos = width[:i0] + ((x,),) + width[i0:]
+                concept = width[:i0] + (ext,) + width[i0:]
                 if x not in ext:
                     raise ConsistencyError(
                         f"extension of {ctx._labelled(pos)} lost {dim.elements[x]!r}"

@@ -223,6 +223,21 @@ def test_verify_cap_from_environment_must_be_integer():
     assert res.stderr.count("\n") == 1
 
 
+def test_verify_rejects_negative_cap():
+    # a negative cap would skip both oracles and still report a pass
+    for res in (
+        run_cli("verify", FIG3_TSV, "--cap", "-1"),
+        run_cli("verify", FIG3_TSV, env_extra={"POLYCONCEPT_ORACLE_CAP": "-1"}),
+    ):
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1
+    res = run_cli("verify", FIG3_TSV, "--cap", "0")
+    assert res.returncode == 0
+    assert "concept oracle: skipped" in res.stdout
+
+
 def test_gen_writes_tuple_file():
     res = run_cli("gen", "--sizes", "2,3,3", "--density", "0.35", "--seed", "42")
     assert res.returncode == 0

@@ -14,6 +14,7 @@ from polyconcept import (
     enumerate_concepts,
     extend_height,
     generate_random,
+    introducers,
     oracle_cost,
 )
 
@@ -81,22 +82,42 @@ def test_brute_force_agreement_100_seeds_3x3x3():
 )
 @pytest.mark.parametrize("density", [0.15, 0.5, 0.85])
 def test_brute_force_agreement_other_shapes(shape, density):
-    # Shapes of 128 cells and more search deep enough to exercise candidate
-    # filtering and the branching order; the oracle's cost limits them to a
-    # few seeds.
+    # Shapes of 128 cells and more nest the Close-by-One search deep enough
+    # to exercise its canonicity test and the extension test between levels;
+    # (16, 8) against (8, 16) re-lays the smaller dimension to the outside.
+    # The oracle's cost limits them to a few seeds.
     for seed in range(15 if math.prod(shape) <= 36 else 3):
         ctx = generate_random(shape, density, seed)
         assert enumerate_concepts(ctx) == brute_force_concepts(ctx), seed
 
 
 def test_long_dimension_does_not_exhaust_recursion():
-    # 1500 x 2 with six crosses: a search whose depth grows with the element
-    # count overflows the interpreter's stack here.
+    # 1500 x 2 with six crosses: the search keeps its nodes on an explicit
+    # stack and recurses only once per dimension; a search whose depth grows
+    # with the element count overflows the interpreter's stack here.
     found = enumerate_concepts(long_thin_context())
     assert len(found) == 3
     assert [len(c) for c in found[0].components] == [0, 2]
     assert [len(c) for c in found[1].components] == [6, 1]
     assert [len(c) for c in found[2].components] == [1500, 0]
+
+
+@pytest.mark.parametrize(
+    "shape, density, n_concepts, n_records",
+    [
+        ((10, 10, 10), 0.5, 1188, 1087),
+        ((5, 5, 5, 5), 0.6, 757, 757),
+        ((200, 12), 0.3, 457, 179),
+        ((12, 200), 0.3, 515, 181),
+    ],
+)
+def test_formerly_slow_shapes(shape, density, n_concepts, n_records):
+    # Counts as the earlier closed n-set miner found them.  The 2-D table
+    # comes in both orientations: the short side is the outer dimension of
+    # the search whichever position it takes.
+    ctx = generate_random(shape, density, 1)
+    assert len(enumerate_concepts(ctx)) == n_concepts
+    assert len(introducers(ctx)) == n_records
 
 
 def test_every_concept_is_a_closure_fixpoint(fig3):

@@ -199,8 +199,9 @@ class TestStructuralInvariants:
                     assert len(widths) == len(mine)
 
     def test_completeness_per_element(self, fig3):
-        # the in-place slice search against a labelled slice context,
-        # enumerated on its own and extended back with extend_height
+        # the search on each slice's row of the parent's layers against a
+        # labelled slice context, enumerated on its own and extended back
+        # with extend_height
         contexts = [fig3] + [
             generate_random(shape, density, seed)
             for shape, density in (

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from polyconcept import (
     ComponentTuple,
     InputError,
+    IntroducerRecord,
     NContext,
     brute_force_concepts,
     check_n_ordered,
@@ -23,6 +24,7 @@ from polyconcept import (
     parse_context,
     serialize_tuples,
 )
+from polyconcept.concepts import _relation_mask, closed_tuples
 from polyconcept.context import check_dimension_name, check_label
 
 PROPERTY = settings(
@@ -109,3 +111,45 @@ def test_sort_key_accepts_only_the_canonical_form(ctx, data):
             ctx.sort_key(t)
         with pytest.raises(InputError):
             ctx.is_concept(t)
+
+
+@PROPERTY
+@given(contexts(), st.data())
+def test_permuting_dimensions_permutes_results(ctx, data):
+    perm = data.draw(st.permutations(range(ctx.arity)))
+    moved = NContext(
+        [(ctx.dims[k].name, ctx.dims[k].elements) for k in perm],
+        [tuple(t[k] for k in perm) for t in ctx.tuples()],
+    )
+
+    def permuted(t):
+        return ComponentTuple(tuple(t.components[k] for k in perm))
+
+    assert set(enumerate_concepts(moved)) == {
+        permuted(t) for t in enumerate_concepts(ctx)
+    }
+    if ctx.arity > 1:
+        dim_at = {k + 1: j + 1 for j, k in enumerate(perm)}
+        assert set(introducers(moved)) == {
+            IntroducerRecord(
+                permuted(r.concept),
+                tuple(sorted((dim_at[d], labels) for d, labels in r.introduces)),
+            )
+            for r in introducers(ctx)
+        }
+
+
+@PROPERTY
+@given(contexts())
+def test_raw_enumerator_yields_each_concept_once(ctx):
+    # the context itself, then the slice at every element of every dimension
+    runs = [(ctx, [len(d) for d in ctx.dims], _relation_mask(ctx))]
+    if ctx.arity > 1:
+        for i, d in enumerate(ctx.dims):
+            sizes = [len(e) for e in ctx.dims if e is not d]
+            for x, label in enumerate(d.elements):
+                runs.append((ctx.slice(d.index, label), sizes, ctx._layers[i][x]))
+    for sub, sizes, rel in runs:
+        raw = list(closed_tuples(sizes, rel))
+        assert len(raw) == len(set(raw))
+        assert set(raw) == {sub.sort_key(t) for t in brute_force_concepts(sub)}
