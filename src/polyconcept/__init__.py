@@ -44,7 +44,6 @@ from .order import (
     check_n_ordered,
     dimension_diagram,
     gsh_2d,
-    leq,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +77,6 @@ __all__ = [
     "introducer_dim",
     "introducer_oracle",
     "introducers",
-    "leq",
     "nontrivial_filter",
     "oracle_cost",
     "parse_context",

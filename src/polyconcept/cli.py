@@ -183,12 +183,8 @@ def cmd_verify(args) -> int:
             lines.append(f"concept oracle: ok ({len(found)} concepts)")
         else:
             failures += 1
-            missing = sorted(
-                reference.as_frozenset() - found.as_frozenset(), key=ctx.sort_key
-            )
-            extra = sorted(
-                found.as_frozenset() - reference.as_frozenset(), key=ctx.sort_key
-            )
+            missing = [t for t in reference if t not in found]
+            extra = [t for t in found if t not in reference]
             lines.append(
                 "concept oracle: FAIL missing="
                 + str([format_concept(ctx, t) for t in missing])

@@ -19,7 +19,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .context import ComponentTuple, InputError, NContext, _strides
+from .context import ComponentTuple, InputError, NContext, _elements, _strides
 
 DEFAULT_ORACLE_CAP = 1 << 20
 
@@ -64,9 +64,6 @@ class ConceptSet:
     def concepts(self) -> tuple[ComponentTuple, ...]:
         return self._concepts
 
-    def as_frozenset(self) -> frozenset[ComponentTuple]:
-        return self._as_set
-
     def __iter__(self) -> Iterator[ComponentTuple]:
         return iter(self._concepts)
 
@@ -91,16 +88,6 @@ class ConceptSet:
 
     def __repr__(self) -> str:
         return f"<ConceptSet of {len(self._concepts)}>"
-
-
-def _elements(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _relaid(rel: int, sizes: Sequence[int], order: Sequence[int]) -> int:

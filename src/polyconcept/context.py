@@ -8,13 +8,16 @@ crosses, and testing whether such a box is maximal in every dimension.
 
 Element identity is label-based at the boundary and index-based internally;
 the element order declared at construction time fixes the canonical ordering
-of every component set produced by the library.
+of every component set produced by the library.  The relation is held once,
+as one bit row per (dimension, element) over the cells of the other
+dimensions; a slice's relation is one of those rows, decoded into index
+tuples and laid out again without going through labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ge
+from operator import ge, mul
 from typing import Iterable, Sequence
 
 
@@ -56,6 +59,16 @@ def _strides(sizes: Sequence[int]) -> tuple[int, ...]:
     for k in range(len(sizes) - 1, 0, -1):
         strides[k - 1] = strides[k] * sizes[k]
     return tuple(strides)
+
+
+def _elements(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,22 +155,19 @@ class NContext:
 
     ``dims`` is a sequence of ``Dimension`` objects or ``(name, elements)``
     pairs; ``relation`` is an iterable of label tuples, one label per
-    dimension.  Duplicate tuples collapse (set semantics).  Per-dimension,
-    per-element bit rows over the flattened product of the other dimensions
-    are built once at construction so box and maximality tests reduce to
-    integer mask comparisons.
+    dimension.  Duplicate tuples collapse (set semantics).  The relation is
+    stored only as bit rows, one per (dimension, element), over the
+    flattened product of the other dimensions, so box and maximality tests
+    reduce to integer mask comparisons; membership, size, the tuple listing,
+    equality and hashing read the rows of dimension 0.
 
     Instances never change after construction; all operations are read-only
-    and safe to share between threads.  Slices are independent values.
+    and safe to share between threads.  Slices are independent values: the
+    rows of a slice at x of dimension i are built from the index tuples
+    decoded out of ``_layers[i][x]``.
     """
 
-    def __init__(
-        self,
-        dims: Sequence,
-        relation: Iterable[Sequence[str]] = (),
-        *,
-        provenance: tuple[str, str] | None = None,
-    ):
+    def __init__(self, dims: Sequence, relation: Iterable[Sequence[str]] = ()):
         norm: list[Dimension] = []
         for k, d in enumerate(dims):
             if isinstance(d, Dimension):
@@ -175,31 +185,29 @@ class NContext:
         names = [d.name for d in norm]
         if len(set(names)) != len(names):
             raise InputError(f"dimension names must be unique, got {names}")
-        self._dims = tuple(norm)
-        self._arity = len(norm)
+        self._dims = tuple(norm)  # read by _index
+        self._build(self._dims, map(self._index, relation), None)
 
-        rel: set[tuple[int, ...]] = set()
-        for t in relation:
-            t = tuple(t)
-            if len(t) != self._arity:
-                raise InputError(
-                    f"relation tuple {t!r} has {len(t)} fields, expected {self._arity}"
-                )
-            rel.add(tuple(dim.position(lb) for dim, lb in zip(self._dims, t)))
-        self._rel = frozenset(rel)
+    def _build(self, dims, rel: Iterable[tuple[int, ...]], provenance) -> None:
+        """Set the dimensions and lay index tuples out as bit rows.
+
+        Mixed-radix strides flatten the product of all dimensions except
+        dimension i; each tuple sets one bit of one row per dimension, held
+        as a dense list of rows per dimension.  A tuple's cell in the rows of
+        dimension i is its cell in the full product with digit i cut out.
+        """
+        self._dims = dims
+        self._arity = len(dims)
         self._provenance = provenance
-
-        # Mixed-radix strides for flattening the product of all dimensions
-        # except dimension i, then one bit row per (dimension, element), held
-        # as a dense list per dimension.
-        sizes = [len(d) for d in self._dims]
+        sizes = [len(d) for d in dims]
         self._strides = [_strides(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
         self._layers: list[list[int]] = [[0] * s for s in sizes]
-        for t in self._rel:
-            for i in range(self._arity):
-                rest = t[:i] + t[i + 1 :]
-                idx = sum(p * s for p, s in zip(rest, self._strides[i]))
-                self._layers[i][t[i]] |= 1 << idx
+        full = _strides(sizes)
+        cuts = [(f * s, f) for f, s in zip(full, sizes)]
+        for t in rel:
+            f = sum(map(mul, t, full))
+            for p, layer, (hi, lo) in zip(t, self._layers, cuts):
+                layer[p] |= 1 << (f // hi * lo + f % lo)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -218,7 +226,7 @@ class NContext:
 
     @property
     def relation_size(self) -> int:
-        return len(self._rel)
+        return sum(row.bit_count() for row in self._layers[0])
 
     @property
     def relation(self) -> frozenset[tuple[str, ...]]:
@@ -227,19 +235,26 @@ class NContext:
 
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
-        out = []
-        for t in sorted(self._rel):
-            out.append(tuple(d.elements[p] for d, p in zip(self._dims, t)))
-        return tuple(out)
+        first, *rest = (d.elements for d in self._dims)
+        return tuple(
+            (first[x], *cell)
+            for x, row in enumerate(self._layers[0])
+            for cell in self._cells(0, row, rest)
+        )
 
     def has(self, t: Sequence[str]) -> bool:
         """Exact membership test for one relation tuple of labels."""
+        x, *rest = self._index(t)
+        return bool(self._layers[0][x] >> sum(map(mul, rest, self._strides[0])) & 1)
+
+    def _index(self, t: Sequence[str]) -> tuple[int, ...]:
+        """Positions of the labels of one relation tuple, one per dimension."""
         t = tuple(t)
-        if len(t) != self._arity:
+        if len(t) != len(self._dims):
             raise InputError(
-                f"tuple {t!r} has {len(t)} fields, expected {self._arity}"
+                f"tuple {t!r} has {len(t)} fields, expected {len(self._dims)}"
             )
-        return tuple(d.position(lb) for d, lb in zip(self._dims, t)) in self._rel
+        return tuple(map(Dimension.position, self._dims, t))
 
     def dim(self, selector) -> Dimension:
         """Resolve a 1-based index or a dimension name to its Dimension."""
@@ -262,15 +277,15 @@ class NContext:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NContext):
             return NotImplemented
-        return self._dims == other._dims and self._rel == other._rel
+        return self._dims == other._dims and self._layers[0] == other._layers[0]
 
     def __hash__(self):
-        return hash((self._dims, self._rel))
+        return hash((self._dims, tuple(self._layers[0])))
 
     def __repr__(self) -> str:
         shape = "x".join(str(len(d)) for d in self._dims)
         src = f", sliced at {self._provenance[0]}={self._provenance[1]}" if self._provenance else ""
-        return f"<NContext {shape}, {len(self._rel)} tuples{src}>"
+        return f"<NContext {shape}, {self.relation_size} tuples{src}>"
 
     # -- component tuples --------------------------------------------------
 
@@ -315,6 +330,14 @@ class NContext:
         return tuple(key)
 
     # -- bit-row machinery ---------------------------------------------------
+
+    def _cells(self, i0: int, row: int, lookup: Sequence[Sequence]) -> list[tuple]:
+        """The cells set in a row of dimension i0, ascending, as tuples over
+        the other dimensions in original order: ``lookup[k][p]`` stands for
+        position p of the k-th of them (a ``range`` for indices, the
+        ``elements`` for labels)."""
+        radix = [(s, len(e), e) for s, e in zip(self._strides[i0], lookup)]
+        return [tuple([e[c // s % n] for s, n, e in radix]) for c in _elements(row)]
 
     def _width_bits(self, i0: int, comps: Sequence[Sequence[int]]) -> int:
         """Mask of the product of index components over all dimensions != i0.
@@ -383,23 +406,22 @@ class NContext:
 
         Returns the (n-1)-ary context whose relation keeps exactly the tuples
         that carried ``element`` at the selected position, with that field
-        removed.  The result records where it was sliced for diagnostics.
+        removed: the cells of that element's row, as index tuples.  The
+        result records where it was sliced for diagnostics.
         """
         if self._arity == 1:
             raise ArityError("cannot slice a 1-dimensional context")
         i0 = self._dim0(dim)
         src = self._dims[i0]
-        e = src.position(element)
-        keep = [j for j in range(self._arity) if j != i0]
-        new_dims = [(self._dims[j].name, self._dims[j].elements) for j in keep]
-        rel = []
-        for t in self._rel:
-            if t[i0] == e:
-                rest = t[:i0] + t[i0 + 1 :]
-                rel.append(
-                    tuple(self._dims[j].elements[p] for j, p in zip(keep, rest))
-                )
-        return NContext(new_dims, rel, provenance=(src.name, element))
+        row = self._layers[i0][src.position(element)]
+        others = self._dims[:i0] + self._dims[i0 + 1 :]
+        sub = object.__new__(NContext)
+        sub._build(
+            tuple(Dimension(k + 1, d.name, d.elements) for k, d in enumerate(others)),
+            self._cells(i0, row, [range(len(d)) for d in others]),
+            (src.name, element),
+        )
+        return sub
 
     def derive(self, side, labels: Iterable[str]) -> tuple[str, ...]:
         """2D derivation: elements of the other side related to all of X.

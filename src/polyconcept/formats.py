@@ -46,7 +46,7 @@ import json
 from typing import Iterator, Sequence
 
 from .concepts import ConceptSet
-from .context import ComponentTuple, Dimension, InputError, NContext
+from .context import ComponentTuple, Dimension, InputError, NContext, check_label
 from .introducers import IntroducerRecord
 from .order import DimensionDiagram
 
@@ -70,6 +70,14 @@ def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             yield line_no, raw
+
+
+def _checked(label: str, line_no: int) -> str:
+    """``check_label``, reporting a bad label at the line it appears on."""
+    try:
+        return check_label(label)
+    except InputError as exc:
+        raise ParseError(str(exc), line_no) from None
 
 
 def _split_line(raw: str, sep: str | None, line_no: int) -> list[str]:
@@ -127,16 +135,14 @@ def parse_tuples(text: str) -> NContext:
 
     if dims is None:
         order: list[dict[str, None]] = [dict() for _ in range(arity)]
-        for _, fields in rows:
-            for d, lb in zip(order, fields):
-                d.setdefault(lb)
-        try:
-            dims = [
-                Dimension(k + 1, f"dim{k + 1}", tuple(seen))
-                for k, seen in enumerate(order)
-            ]
-        except InputError as exc:
-            raise ParseError(str(exc), rows[0][0]) from None
+        for line_no, fields in rows:
+            for seen, lb in zip(order, fields):
+                if lb not in seen:
+                    seen[_checked(lb, line_no)] = None
+        dims = [
+            Dimension(k + 1, f"dim{k + 1}", tuple(seen))
+            for k, seen in enumerate(order)
+        ]
 
     relation = []
     for line_no, fields in rows:
@@ -166,7 +172,7 @@ def parse_cross_table(text: str) -> NContext:
     attrs = header[1:]
     if any(not a for a in attrs):
         raise ParseError("empty attribute label", head_no)
-    objects: list[str] = []
+    objects: dict[str, None] = {}
     relation: list[tuple[str, str]] = []
     for line_no, raw in lines[1:]:
         fields = [f.strip() for f in raw.split(sep)]
@@ -177,7 +183,11 @@ def parse_cross_table(text: str) -> NContext:
         obj = fields[0]
         if not obj:
             raise ParseError("empty object label", line_no)
-        objects.append(obj)
+        if obj in objects:
+            raise ParseError(
+                f"dimension 'objects' declares element {obj!r} twice", line_no
+            )
+        objects[_checked(obj, line_no)] = None
         for attr, cell in zip(attrs, fields[1:]):
             if cell in ("x", "×"):
                 relation.append((obj, attr))
@@ -186,13 +196,10 @@ def parse_cross_table(text: str) -> NContext:
                     f"cell must be 'x', '×', or empty, got {cell!r}", line_no
                 )
     try:
-        dims = [
-            Dimension(1, "objects", tuple(objects)),
-            Dimension(2, "attributes", tuple(attrs)),
-        ]
+        attributes = Dimension(2, "attributes", tuple(attrs))
     except InputError as exc:
         raise ParseError(str(exc), head_no) from None
-    return NContext(dims, relation)
+    return NContext([Dimension(1, "objects", tuple(objects)), attributes], relation)
 
 
 def parse_context(text: str) -> NContext:

@@ -168,7 +168,8 @@ def introducer_oracle(
 
     For each element x of each dimension i, keeps the concepts containing x
     in component i whose width is componentwise-maximal among those, working
-    from the exhaustively enumerated concept set.
+    from the exhaustively enumerated concept set, whose canonical order the
+    records keep.
     """
     base = brute_force_concepts(ctx, cap=cap)
     bucket: dict[ComponentTuple, dict[int, set[str]]] = {}
@@ -195,9 +196,6 @@ def introducer_oracle(
                 )
                 if not dominated:
                     bucket.setdefault(c, {}).setdefault(i0 + 1, set()).add(x)
-    records = [
-        IntroducerRecord.make(ctx, concept, intro)
-        for concept, intro in bucket.items()
-    ]
-    records.sort(key=lambda r: ctx.sort_key(r.concept))
-    return tuple(records)
+    return tuple(
+        IntroducerRecord.make(ctx, c, bucket[c]) for c in base if c in bucket
+    )

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .concepts import _elements
-from .context import ArityError, ComponentTuple, InputError, NContext
+from .context import ArityError, ComponentTuple, InputError, NContext, _elements
 from .introducers import IntroducerRecord, introducers
 
 
@@ -59,17 +58,6 @@ def _inclusion(comps: Sequence[Sequence]) -> tuple[list[int], list[int]]:
         up.append(above)
         down.append(everyone & ~lacks)
     return up, down
-
-
-def leq(a, b, dim: int) -> bool:
-    """Is a below b in dimension ``dim`` (1-based)?  Subset of components."""
-    ta, tb = _tuple_of(a), _tuple_of(b)
-    if ta.arity != tb.arity:
-        raise InputError("cannot compare tuples of different arity")
-    if not 1 <= dim <= ta.arity:
-        raise InputError(f"dimension index {dim} out of range 1..{ta.arity}")
-    up, _ = _inclusion([ta.components[dim - 1], tb.components[dim - 1]])
-    return bool(up[0] & 2)  # bit 1: b's component contains a's
 
 
 @dataclass(frozen=True)

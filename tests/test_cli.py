@@ -7,9 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import FIXTURES, long_thin_context
+from conftest import FIXTURES, box, long_thin_context
 
-from polyconcept import cli, serialize_tuples
+from polyconcept import ConceptSet, cli, serialize_tuples
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -137,6 +137,35 @@ def test_out_of_memory_is_exit_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def test_verify_failure_is_exit_1(monkeypatch, capsys):
+    # Faults on the full context only: the slices of the count identity
+    # still go through the real enumerator.
+    enumerate_concepts, introducers = cli.enumerate_concepts, cli.introducers
+    dropped = {box("α", "1", "ab"), box("β", "3", "ac")}
+    added = [box("β", "13", "a"), box("α", "1", "a")]  # full boxes, not maximal
+
+    def faulty_concepts(ctx, **kwargs):
+        found = enumerate_concepts(ctx, **kwargs)
+        if ctx.provenance is not None:
+            return found
+        kept = [t for t in found if t not in dropped] + added
+        return ConceptSet(tuple(sorted(kept, key=ctx.sort_key)))
+
+    monkeypatch.setattr(cli, "enumerate_concepts", faulty_concepts)
+    monkeypatch.setattr(cli, "introducers", lambda ctx: introducers(ctx)[1:])
+    assert cli.main(["verify", FIG3_TSV]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # missing and extra both list concepts in canonical order
+    assert lines[0] == (
+        "concept oracle: FAIL missing=['(α, 1, ab)', '(β, 3, ac)'] "
+        "extra=['(α, 1, a)', '(β, 13, a)']"
+    )
+    assert lines[1].startswith("introducer oracle: FAIL disagreement=")
+    assert lines[4] == "soundness: FAIL strays=['(α, 1, ab)', '(β, 3, ac)']"
+    assert lines[5].startswith("introduction counts: FAIL dim2/1: ")
+    assert lines[-1] == "result: fail (4)"
 
 
 def test_cross_table_with_byte_order_mark(tmp_path):

@@ -84,6 +84,13 @@ class TestParseTuples:
         assert err.value.line == 1
 
 
+    @pytest.mark.parametrize("text", ["a,x\nb,y\nc,!z\n", "a,x\nb,y\nc,has space\n"])
+    def test_bad_label_without_header_reports_its_line(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_tuples(text)
+        assert err.value.line == 3
+
+
 class TestParseCrossTable:
     def test_fig1_table_equals_tuple_file(self, fig1):
         table = parse_cross_table(FIG1_TABLE_TEXT)
@@ -106,6 +113,14 @@ class TestParseCrossTable:
         with pytest.raises(ParseError) as err:
             parse_cross_table(",a,b\n1,x\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line", [(",a,b\np,x,\nq,,x\np,x,x\n", 4), (",a,b\na b,x,\n", 2)]
+    )
+    def test_bad_object_label_reports_its_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_cross_table(text)
+        assert err.value.line == line
 
     def test_junk_cell_rejected(self):
         with pytest.raises(ParseError):

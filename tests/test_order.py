@@ -15,41 +15,9 @@ from polyconcept import (
     generate_random,
     gsh_2d,
     introducers,
-    leq,
 )
 
 from conftest import FIG1_COVER_EDGES, FIG1_GSH_EDGES, box
-
-
-class TestLeq:
-    def test_subset_in_first_dimension(self):
-        assert leq(box("α", "1", "ab"), box("αβ", "13", "a"), 1)
-
-    def test_not_subset_in_second_dimension(self):
-        assert not leq(box("αβ", "13", "a"), box("α", "1", "ab"), 2)
-
-    def test_reflexive(self):
-        t = box("αβ", "13", "a")
-        for i in (1, 2, 3):
-            assert leq(t, t, i)
-
-    def test_transitive_on_fig1_concepts(self, fig1):
-        found = list(enumerate_concepts(fig1))
-        for a in found:
-            for b in found:
-                for c in found:
-                    if leq(a, b, 1) and leq(b, c, 1):
-                        assert leq(a, c, 1)
-
-    def test_accepts_records(self, fig1):
-        records = introducers(fig1)
-        assert leq(records[0], records[0], 1)
-
-    def test_range_errors(self):
-        with pytest.raises(InputError):
-            leq(box("α", "1", "a"), box("α", "1", "a"), 4)
-        with pytest.raises(InputError):
-            leq(box("α", "1"), box("α", "1", "a"), 1)
 
 
 class TestAxioms:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polyconcept import (
     ComponentTuple,
+    Dimension,
     InputError,
     IntroducerRecord,
     NContext,
@@ -153,3 +154,38 @@ def test_raw_enumerator_yields_each_concept_once(ctx):
         raw = list(closed_tuples(sizes, rel))
         assert len(raw) == len(set(raw))
         assert set(raw) == {sub.sort_key(t) for t in brute_force_concepts(sub)}
+
+
+@PROPERTY
+@given(contexts())
+def test_membership_size_and_hash_agree_with_tuples(ctx):
+    tuples = ctx.tuples()
+    index = {t: tuple(map(Dimension.position, ctx.dims, t)) for t in tuples}
+    assert list(tuples) == sorted(tuples, key=index.__getitem__)
+    assert len(set(tuples)) == len(tuples) == ctx.relation_size
+    for cell in itertools.product(*(d.elements for d in ctx.dims)):
+        assert ctx.has(cell) == (cell in index)
+    # rebuilt from its own tuples, reversed and each given twice
+    dims = [(d.name, d.elements) for d in ctx.dims]
+    rebuilt = NContext(dims, tuples[::-1] * 2)
+    assert rebuilt == ctx and hash(rebuilt) == hash(ctx)
+    assert rebuilt.tuples() == tuples and rebuilt.relation_size == ctx.relation_size
+    if tuples:
+        fewer = NContext(dims, tuples[1:])
+        assert fewer != ctx and not fewer.has(tuples[0])
+
+
+@PROPERTY
+@given(contexts(min_arity=2))
+def test_slice_equals_context_built_from_labels(ctx):
+    tuples = ctx.tuples()
+    for i, d in enumerate(ctx.dims):
+        others = [(e.name, e.elements) for e in ctx.dims if e is not d]
+        for x in d.elements:
+            sub = ctx.slice(d.index, x)
+            ref = NContext(others, [t[:i] + t[i + 1 :] for t in tuples if t[i] == x])
+            assert sub == ref and hash(sub) == hash(ref)
+            assert sub.dims == ref.dims and sub.tuples() == ref.tuples()
+            assert sub.relation_size == ref.relation_size
+            assert sub._layers == ref._layers
+            assert sub.provenance == (d.name, x) and ref.provenance is None
