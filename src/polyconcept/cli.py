@@ -207,22 +207,16 @@ def cmd_verify(args) -> int:
         lines.append("introducer oracle: skipped (oracle infeasible)")
 
     report = check_n_ordered(records)
-    if report.uniqueness_ok:
-        lines.append("uniqueness axiom: ok")
-    else:
-        failures += 1
-        lines.append(
-            "uniqueness axiom: FAIL "
-            + str([(str(a), str(b)) for a, b in report.uniqueness_violations])
-        )
-    if report.antiordinal_ok:
-        lines.append("antiordinal axiom: ok")
-    else:
-        failures += 1
-        lines.append(
-            "antiordinal axiom: FAIL "
-            + str([(str(a), str(b)) for a, b in report.antiordinal_violations])
-        )
+    for axiom, violations in (
+        ("uniqueness", report.uniqueness_violations),
+        ("antiordinal", report.antiordinal_violations),
+    ):
+        if not violations:
+            lines.append(f"{axiom} axiom: ok")
+        else:
+            failures += 1
+            pairs = [(str(a), str(b)) for a, b in violations]
+            lines.append(f"{axiom} axiom: FAIL {pairs}")
 
     stray = [r for r in records if r.concept not in found]
     if not stray:

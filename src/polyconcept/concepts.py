@@ -6,7 +6,7 @@ over one dimension against the cells of the others, nested once per
 dimension in the manner of TRIAS (Jäschke, Hotho, Schmitz, Ganter & Stumme,
 ICDM 2006).  It has two callers: ``enumerate_concepts`` runs it on the
 relation of a context, and the introducer computation runs it on each
-slice's row of that relation.
+slice's row of that relation, both as ``NContext._search_input`` lays it out.
 ``brute_force_concepts`` is the exhaustive oracle: it walks every subset
 combination of all dimensions but the largest, derives the remaining maximal
 component, and keeps what passes the concept test.  The two must agree on
@@ -19,7 +19,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .context import ComponentTuple, InputError, NContext, _elements, _strides
+from .context import ComponentTuple, InputError, NContext, _elements
 
 DEFAULT_ORACLE_CAP = 1 << 20
 
@@ -90,13 +90,6 @@ class ConceptSet:
         return f"<ConceptSet of {len(self._concepts)}>"
 
 
-def _relaid(rel: int, sizes: Sequence[int], order: Sequence[int]) -> int:
-    """``rel`` with its dimensions taken in ``order``, in the same layout."""
-    new = dict(zip(order, _strides([sizes[k] for k in order])))
-    moves = [(o, s, new[k]) for k, (o, s) in enumerate(zip(_strides(sizes), sizes))]
-    return sum(1 << sum(c // o % s * w for o, s, w in moves) for c in _elements(rel))
-
-
 def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
     """(component masks, box mask) of every concept of ``rel``, each once.
 
@@ -135,32 +128,21 @@ def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
 
 
 def closed_tuples(
-    sizes: Sequence[int], rel: int
+    sizes: Sequence[int], rel: int, order: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every concept of an n-ary relation, exactly once, as index tuples.
 
     ``rel`` masks the cells of a product of dimensions of the given sizes,
     cell ``(p_1, ..., p_n)`` at bit ``sum(p_k * stride_k)`` with the last
-    dimension fastest, as in the rows of ``NContext._layers``: the concepts
-    of the slice at x of dimension i are ``closed_tuples`` of the other
-    sizes and ``ctx._layers[i][x]``.  The relation is re-laid once with its
-    dimensions from smallest to largest (stable), so every level of the
-    nested search has the smallest dimension left as its outer one, which
-    bounds the cost of a closure; components are mapped back on the way out.
+    dimension fastest; ``order[k]`` is the original position of the k-th
+    dimension, and components come out in original order.  The arguments
+    are what ``NContext._search_input`` returns, whose sizes ascend, so
+    every level of the nested search has the smallest dimension left as its
+    outer one, which bounds the cost of a closure.
     """
-    n = len(sizes)
-    order = sorted(range(n), key=sizes.__getitem__)
-    back = sorted(range(n), key=order.__getitem__)
-    if order != sorted(order):
-        rel = _relaid(rel, sizes, order)
-    for masks, _ in _cbo([sizes[k] for k in order], rel, False):
+    back = [order.index(k) for k in range(len(order))]
+    for masks, _ in _cbo(sizes, rel, False):
         yield tuple(tuple(_elements(masks[k])) for k in back)
-
-
-def _relation_mask(ctx: NContext) -> int:
-    """The relation of ``ctx`` as one mask in the layout of its ``_layers``."""
-    cells = math.prod(len(d) for d in ctx.dims[1:])
-    return sum(row << x * cells for x, row in enumerate(ctx._layers[0]))
 
 
 def enumerate_concepts(
@@ -172,9 +154,8 @@ def enumerate_concepts(
     ``max_concepts`` is an optional hard cap; exceeding it raises
     ``ConceptLimitError``.
     """
-    sizes = [len(d) for d in ctx.dims]
     found: set[tuple[tuple[int, ...], ...]] = set()
-    for pos in closed_tuples(sizes, _relation_mask(ctx)):
+    for pos in closed_tuples(*ctx._search_input()):
         found.add(pos)
         if max_concepts is not None and len(found) > max_concepts:
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")

@@ -10,12 +10,14 @@ Element identity is label-based at the boundary and index-based internally;
 the element order declared at construction time fixes the canonical ordering
 of every component set produced by the library.  The relation is held once,
 as one bit row per (dimension, element) over the cells of the other
-dimensions; a slice's relation is one of those rows, decoded into index
-tuples and laid out again without going through labels.
+dimensions, laid out here only, smallest dimension slowest, as the concept
+search reads them; a slice's relation is one of those rows, decoded into
+index tuples and laid out again without going through labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import ge, mul
 from typing import Iterable, Sequence
@@ -53,12 +55,15 @@ def check_dimension_name(name: str) -> str:
     return name
 
 
-def _strides(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix strides of a cell layout, the last dimension fastest."""
-    strides = [1] * len(sizes)
-    for k in range(len(sizes) - 1, 0, -1):
-        strides[k - 1] = strides[k] * sizes[k]
-    return tuple(strides)
+def _layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, strides) of a cell layout: ``order`` lists the dimensions
+    smallest first (stable), the slowest first; ``strides[k]`` is the
+    mixed-radix stride of dimension k."""
+    order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
+    strides, step = [0] * len(sizes), 1
+    for k in reversed(order):
+        strides[k], step = step, step * sizes[k]
+    return order, tuple(strides)
 
 
 def _elements(mask: int) -> list[int]:
@@ -159,7 +164,9 @@ class NContext:
     stored only as bit rows, one per (dimension, element), over the
     flattened product of the other dimensions, so box and maximality tests
     reduce to integer mask comparisons; membership, size, the tuple listing,
-    equality and hashing read the rows of dimension 0.
+    equality and hashing read the rows of dimension 0.  The concept search
+    reads the rows through ``_search_input``; everything else goes through
+    the per-dimension strides.
 
     Instances never change after construction; all operations are read-only
     and safe to share between threads.  Slices are independent values: the
@@ -191,23 +198,23 @@ class NContext:
     def _build(self, dims, rel: Iterable[tuple[int, ...]], provenance) -> None:
         """Set the dimensions and lay index tuples out as bit rows.
 
-        Mixed-radix strides flatten the product of all dimensions except
-        dimension i; each tuple sets one bit of one row per dimension, held
-        as a dense list of rows per dimension.  A tuple's cell in the rows of
-        dimension i is its cell in the full product with digit i cut out.
+        The rows of dimension i flatten the product of the other dimensions
+        as ``_layout`` orders them (``_order[i]``, ``_strides[i]``).  Each
+        tuple sets one bit of one row per dimension: in the rows of dimension
+        i, bit ``sum(p_j * stride_ij)`` over its fields, with stride 0 for i.
         """
         self._dims = dims
         self._arity = len(dims)
         self._provenance = provenance
         sizes = [len(d) for d in dims]
-        self._strides = [_strides(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
+        self._order, self._strides = zip(
+            *(_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity))
+        )
         self._layers: list[list[int]] = [[0] * s for s in sizes]
-        full = _strides(sizes)
-        cuts = [(f * s, f) for f, s in zip(full, sizes)]
+        spread = [st[:i] + (0,) + st[i:] for i, st in enumerate(self._strides)]
         for t in rel:
-            f = sum(map(mul, t, full))
-            for p, layer, (hi, lo) in zip(t, self._layers, cuts):
-                layer[p] |= 1 << (f // hi * lo + f % lo)
+            for p, layer, st in zip(t, self._layers, spread):
+                layer[p] |= 1 << sum(map(mul, t, st))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -236,11 +243,11 @@ class NContext:
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
         first, *rest = (d.elements for d in self._dims)
-        return tuple(
-            (first[x], *cell)
-            for x, row in enumerate(self._layers[0])
-            for cell in self._cells(0, row, rest)
-        )
+        rows = enumerate(self._layers[0])
+        out = [(first[x], *cell) for x, row in rows for cell in self._cells(0, row, rest)]
+        if self._order[0] != tuple(range(self._arity - 1)):
+            out.sort(key=self._index)  # the rows' bit order is not index order
+        return tuple(out)
 
     def has(self, t: Sequence[str]) -> bool:
         """Exact membership test for one relation tuple of labels."""
@@ -332,9 +339,9 @@ class NContext:
     # -- bit-row machinery ---------------------------------------------------
 
     def _cells(self, i0: int, row: int, lookup: Sequence[Sequence]) -> list[tuple]:
-        """The cells set in a row of dimension i0, ascending, as tuples over
-        the other dimensions in original order: ``lookup[k][p]`` stands for
-        position p of the k-th of them (a ``range`` for indices, the
+        """The cells set in a row of dimension i0, in bit order, as tuples
+        over the other dimensions in original order: ``lookup[k][p]`` stands
+        for position p of the k-th of them (a ``range`` for indices, the
         ``elements`` for labels)."""
         radix = [(s, len(e), e) for s, e in zip(self._strides[i0], lookup)]
         return [tuple([e[c // s % n] for s, n, e in radix]) for c in _elements(row)]
@@ -349,11 +356,12 @@ class NContext:
         component.  An empty component gives 0; with no other dimension the
         product is the single empty cell, bit 1.
         """
+        strides = self._strides[i0]
         mask = 1
-        for comp, stride in zip(reversed(comps), reversed(self._strides[i0])):
+        for k in reversed(self._order[i0]):
             acc = 0
-            for p in comp:
-                acc |= mask << p * stride
+            for p in comps[k]:
+                acc |= mask << p * strides[k]
             mask = acc
         return mask
 
@@ -368,6 +376,25 @@ class NContext:
         return tuple(
             e for e, row in enumerate(self._layers[i0]) if row & w == w
         )
+
+    def _search_input(self, i0: int | None = None, x: int = 0):
+        """(sizes, mask, order), the input of ``concepts.closed_tuples``.
+
+        The slice at element x of dimension i0 is that element's row; with
+        no i0, the whole relation is the rows of the smallest dimension (the
+        first on a tie) packed, that dimension slowest.  ``order`` maps the
+        mask's dimensions, smallest first, to their original positions.
+        """
+        sizes = [len(d) for d in self._dims]
+        if i0 is not None:
+            order = self._order[i0]
+            del sizes[i0]
+            return [sizes[k] for k in order], self._layers[i0][x], order
+        s = sizes.index(min(sizes))
+        order = (s, *(k + (k >= s) for k in self._order[s]))
+        cells = math.prod(sizes[k] for k in order[1:])
+        mask = sum(row << y * cells for y, row in enumerate(self._layers[s]))
+        return [sizes[k] for k in order], mask, order
 
     # -- box predicates ------------------------------------------------------
 
@@ -414,13 +441,12 @@ class NContext:
         i0 = self._dim0(dim)
         src = self._dims[i0]
         row = self._layers[i0][src.position(element)]
-        others = self._dims[:i0] + self._dims[i0 + 1 :]
+        # Dimensions before i0 keep their index, so they are reused as they are.
+        later = enumerate(self._dims[i0 + 1 :], i0 + 1)
+        others = self._dims[:i0] + tuple(Dimension(k, d.name, d.elements) for k, d in later)
         sub = object.__new__(NContext)
-        sub._build(
-            tuple(Dimension(k + 1, d.name, d.elements) for k, d in enumerate(others)),
-            self._cells(i0, row, [range(len(d)) for d in others]),
-            (src.name, element),
-        )
+        cells = self._cells(i0, row, [range(len(d)) for d in others])
+        sub._build(others, cells, (src.name, element))
         return sub
 
     def derive(self, side, labels: Iterable[str]) -> tuple[str, ...]:

@@ -95,13 +95,11 @@ def _gather(
     ctx: NContext, dim_positions: Sequence[int]
 ) -> tuple[IntroducerRecord, ...]:
     """Slice-and-extend over the given 0-based dimensions; merge annotations."""
-    sizes = [len(d) for d in ctx.dims]
     bucket: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
     for i0 in dim_positions:
         dim = ctx.dims[i0]
-        others = sizes[:i0] + sizes[i0 + 1 :]
-        for x, layer in enumerate(ctx._layers[i0]):
-            for width in closed_tuples(others, layer):
+        for x in range(len(dim)):
+            for width in closed_tuples(*ctx._search_input(i0, x)):
                 ext = ctx._extend_pos(i0, width)
                 pos = width[:i0] + ((x,),) + width[i0:]
                 concept = width[:i0] + (ext,) + width[i0:]

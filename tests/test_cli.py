@@ -168,6 +168,37 @@ def test_verify_failure_is_exit_1(monkeypatch, capsys):
     assert lines[-1] == "result: fail (4)"
 
 
+def test_verify_uniqueness_failure_is_exit_1(monkeypatch, capsys):
+    # A repeated record: the one path to a uniqueness failure, which the real
+    # pipeline never takes.  The count identity sees its elements twice.
+    introducers = cli.introducers
+
+    def first_repeated(ctx):
+        records = introducers(ctx)
+        return records[:1] + records
+
+    monkeypatch.setattr(cli, "introducers", first_repeated)
+    assert cli.main(["verify", FIG3_TSV]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "uniqueness axiom: FAIL [('(∅, 1 2 3, a b c)', '(∅, 1 2 3, a b c)')]"
+    assert lines[3] == "antiordinal axiom: ok"
+    assert lines[5].startswith("introduction counts: FAIL dim2/1: 4 != 3")
+    assert lines[-1] == "result: fail (2)"
+
+
+def test_introducer_commands_need_two_dimensions(tmp_path):
+    f = tmp_path / "one.txt"
+    f.write_text("x\ny\n", encoding="utf-8")
+    for command in ("introducers", "stats", "verify"):
+        res = run_cli(command, str(f))
+        assert res.returncode == 2, command
+        assert res.stdout == ""
+        assert res.stderr == "error: introducer computation needs at least 2 dimensions\n"
+    # concepts and order take the same file
+    assert run_cli("concepts", str(f)).stdout == "(xy)\n"
+    assert run_cli("order", str(f), "--dim", "1").returncode == 0
+
+
 def test_cross_table_with_byte_order_mark(tmp_path):
     f = tmp_path / "export.csv"
     f.write_bytes(b"\xef\xbb\xbf" + Path(FIG1_CSV).read_bytes())

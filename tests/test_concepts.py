@@ -10,10 +10,12 @@ from polyconcept import (
     InputError,
     NContext,
     OracleInfeasibleError,
+    Dimension,
     brute_force_concepts,
     enumerate_concepts,
     extend_height,
     generate_random,
+    introducer_oracle,
     introducers,
     oracle_cost,
 )
@@ -84,11 +86,26 @@ def test_brute_force_agreement_100_seeds_3x3x3():
 def test_brute_force_agreement_other_shapes(shape, density):
     # Shapes of 128 cells and more nest the Close-by-One search deep enough
     # to exercise its canonicity test and the extension test between levels;
-    # (16, 8) against (8, 16) re-lays the smaller dimension to the outside.
+    # in (16, 8) the search takes the rows of the second dimension, in
+    # (8, 16) those of the first, so the smaller one is outermost in both.
     # The oracle's cost limits them to a few seeds.
     for seed in range(15 if math.prod(shape) <= 36 else 3):
         ctx = generate_random(shape, density, seed)
         assert enumerate_concepts(ctx) == brute_force_concepts(ctx), seed
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 3), (3, 4, 2), (6, 3), (3, 2, 2, 3)])
+@pytest.mark.parametrize("density", [0.3, 0.6])
+def test_unsorted_shapes_agree_with_oracles(shape, density):
+    # Sizes not in ascending order: the search reads rows whose other
+    # dimensions are laid out in another order than their own, and maps the
+    # components back; the tuple listing must still come out in index order.
+    for seed in range(10):
+        ctx = generate_random(shape, density, seed)
+        assert enumerate_concepts(ctx).concepts == brute_force_concepts(ctx).concepts, seed
+        assert introducers(ctx) == introducer_oracle(ctx), seed
+        keys = [tuple(map(Dimension.position, ctx.dims, t)) for t in ctx.tuples()]
+        assert keys == sorted(keys), seed
 
 
 def test_long_dimension_does_not_exhaust_recursion():

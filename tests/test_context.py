@@ -239,7 +239,8 @@ def test_component_tuple_equality_is_setwise():
 
 def test_width_bits_matches_cell_by_cell_reference():
     # Every cell of the product of the components, flattened in mixed radix
-    # with the last dimension fastest, sets one bit of the mask.
+    # with the other dimensions smallest first (stable sort by size) and the
+    # last of those fastest, sets one bit of the mask.
     rng = random.Random(20)
     for n in range(1, 5):
         for _ in range(40):
@@ -249,7 +250,10 @@ def test_width_bits_matches_cell_by_cell_reference():
             )
             for i0 in range(n):
                 other = sizes[:i0] + sizes[i0 + 1 :]
-                strides = [math.prod(other[k + 1 :]) for k in range(len(other))]
+                order = sorted(range(len(other)), key=other.__getitem__)
+                strides = [0] * len(other)
+                for j, k in enumerate(order):
+                    strides[k] = math.prod(other[m] for m in order[j + 1 :])
                 comps = [
                     tuple(sorted(rng.sample(range(s), rng.randint(0, s))))
                     for s in other

@@ -25,7 +25,7 @@ from polyconcept import (
     parse_context,
     serialize_tuples,
 )
-from polyconcept.concepts import _relation_mask, closed_tuples
+from polyconcept.concepts import closed_tuples
 from polyconcept.context import check_dimension_name, check_label
 
 PROPERTY = settings(
@@ -144,14 +144,13 @@ def test_permuting_dimensions_permutes_results(ctx, data):
 @given(contexts())
 def test_raw_enumerator_yields_each_concept_once(ctx):
     # the context itself, then the slice at every element of every dimension
-    runs = [(ctx, [len(d) for d in ctx.dims], _relation_mask(ctx))]
+    runs = [(ctx, ctx._search_input())]
     if ctx.arity > 1:
         for i, d in enumerate(ctx.dims):
-            sizes = [len(e) for e in ctx.dims if e is not d]
             for x, label in enumerate(d.elements):
-                runs.append((ctx.slice(d.index, label), sizes, ctx._layers[i][x]))
-    for sub, sizes, rel in runs:
-        raw = list(closed_tuples(sizes, rel))
+                runs.append((ctx.slice(d.index, label), ctx._search_input(i, x)))
+    for sub, search_input in runs:
+        raw = list(closed_tuples(*search_input))
         assert len(raw) == len(set(raw))
         assert set(raw) == {sub.sort_key(t) for t in brute_force_concepts(sub)}
 
