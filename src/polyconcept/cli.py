@@ -34,8 +34,8 @@ from .formats import (
 )
 from .introducers import (
     IntroducerRecord,
+    _oracle_records,
     introducer_dim,
-    introducer_oracle,
     introducers,
     nontrivial_filter,
 )
@@ -191,7 +191,7 @@ def cmd_verify(args) -> int:
                 + " extra="
                 + str([format_concept(ctx, t) for t in extra])
             )
-        oracle_records = introducer_oracle(ctx, cap=cap)
+        oracle_records = _oracle_records(ctx, reference)  # = introducer_oracle(ctx)
         if set(oracle_records) == set(records):
             lines.append(f"introducer oracle: ok ({len(records)} records)")
         else:

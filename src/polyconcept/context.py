@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import ge, mul
+from operator import ge, getitem, mul
 from typing import Iterable, Sequence
 
 
@@ -114,9 +114,10 @@ class Dimension:
         try:
             return self._pos[label]
         except KeyError:
-            raise InputError(
-                f"element {label!r} is not in dimension {self.name!r}"
-            ) from None
+            raise self._unknown(label) from None
+
+    def _unknown(self, label) -> InputError:
+        return InputError(f"element {label!r} is not in dimension {self.name!r}")
 
     def _positions(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Sorted, deduplicated positions of a collection of labels."""
@@ -192,8 +193,8 @@ class NContext:
         names = [d.name for d in norm]
         if len(set(names)) != len(names):
             raise InputError(f"dimension names must be unique, got {names}")
-        self._dims = tuple(norm)  # read by _index
-        self._build(self._dims, map(self._index, relation), None)
+        # _build sets what _index reads before it consumes the map.
+        self._build(tuple(norm), map(self._index, relation), None)
 
     def _build(self, dims, rel: Iterable[tuple[int, ...]], provenance) -> None:
         """Set the dimensions and lay index tuples out as bit rows.
@@ -204,6 +205,7 @@ class NContext:
         i, bit ``sum(p_j * stride_ij)`` over its fields, with stride 0 for i.
         """
         self._dims = dims
+        self._lookup = tuple(d._pos for d in dims)  # read by _index
         self._arity = len(dims)
         self._provenance = provenance
         sizes = [len(d) for d in dims]
@@ -242,12 +244,17 @@ class NContext:
 
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
-        first, *rest = (d.elements for d in self._dims)
+        # Unless the rows' bit order is index order, decode indices, sort
+        # them and label afterwards, one dimension at a time.
+        by_index = self._order[0] != tuple(range(self._arity - 1))
+        first, *rest = (range(len(d)) if by_index else d.elements for d in self._dims)
         rows = enumerate(self._layers[0])
         out = [(first[x], *cell) for x, row in rows for cell in self._cells(0, row, rest)]
-        if self._order[0] != tuple(range(self._arity - 1)):
-            out.sort(key=self._index)  # the rows' bit order is not index order
-        return tuple(out)
+        if not by_index:
+            return tuple(out)
+        out.sort()
+        columns = zip(self._dims, zip(*out))
+        return tuple(zip(*(map(d.elements.__getitem__, col) for d, col in columns)))
 
     def has(self, t: Sequence[str]) -> bool:
         """Exact membership test for one relation tuple of labels."""
@@ -261,7 +268,10 @@ class NContext:
             raise InputError(
                 f"tuple {t!r} has {len(t)} fields, expected {len(self._dims)}"
             )
-        return tuple(map(Dimension.position, self._dims, t))
+        try:
+            return tuple(map(getitem, self._lookup, t))
+        except KeyError:  # let Dimension.position name the unknown label
+            return tuple(map(Dimension.position, self._dims, t))
 
     def dim(self, selector) -> Dimension:
         """Resolve a 1-based index or a dimension name to its Dimension."""
@@ -327,7 +337,10 @@ class NContext:
             )
         key = []
         for d, comp in zip(self._dims, t.components):
-            pos = tuple(map(d.position, comp))
+            try:
+                pos = tuple(map(d._pos.__getitem__, comp))
+            except KeyError as err:
+                raise d._unknown(err.args[0]) from None
             if any(map(ge, pos, pos[1:])):  # unsorted or repeated
                 raise InputError(
                     f"component {d.index} of {t} is not strictly increasing in "

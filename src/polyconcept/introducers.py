@@ -107,7 +107,13 @@ def _gather(
                     raise ConsistencyError(
                         f"extension of {ctx._labelled(pos)} lost {dim.elements[x]!r}"
                     )
-                if not ctx._is_concept_pos(concept):
+                # ext is the extension through i0 of the other components,
+                # so only the other dimensions can fail to be maximal.
+                if any(
+                    ctx._extend_pos(j, concept[:j] + concept[j + 1 :]) != concept[j]
+                    for j in range(ctx.arity)
+                    if j != i0
+                ):
                     raise ConsistencyError(
                         f"extension {ctx._labelled(concept)} of slice concept "
                         f"{ctx._labelled(pos)} is not a concept"
@@ -169,7 +175,11 @@ def introducer_oracle(
     from the exhaustively enumerated concept set, whose canonical order the
     records keep.
     """
-    base = brute_force_concepts(ctx, cap=cap)
+    return _oracle_records(ctx, brute_force_concepts(ctx, cap=cap))
+
+
+def _oracle_records(ctx: NContext, base) -> tuple[IntroducerRecord, ...]:
+    """``introducer_oracle`` given the context's exhaustive concept set."""
     bucket: dict[ComponentTuple, dict[int, set[str]]] = {}
     for i0, dim in enumerate(ctx.dims):
         with_widths = [

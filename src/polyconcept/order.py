@@ -10,8 +10,9 @@ group members into equivalence classes (equal component) and draw the
 covering relation of the classes after transitive reduction.
 
 Both are built from one kernel, ``_inclusion``: for each of a list of
-components, the bitsets of the positions whose component contains it and of
-those whose component it contains.
+components, the bitset of the positions whose component contains it.  The
+diagrams need only that direction; the axiom check also needs the positions
+each component contains, which ``_transpose`` reads off the same bitsets.
 """
 
 from __future__ import annotations
@@ -33,31 +34,34 @@ def _tuple_of(member) -> ComponentTuple:
     )
 
 
-def _inclusion(comps: Sequence[Sequence]) -> tuple[list[int], list[int]]:
-    """Inclusion between components, as two bitsets over positions per position.
-
-    ``up[p]`` holds the positions whose component contains ``comps[p]``: the
-    AND, over p's labels, of the positions holding each label.  ``down[p]``
-    holds the positions whose component is contained in ``comps[p]``: everyone
-    but the OR over the labels p lacks.  Both include p itself.
-    """
+def _inclusion(comps: Sequence[Sequence]) -> list[int]:
+    """Per position p, the bitset of the positions whose component contains
+    ``comps[p]``, p itself included: the AND, over p's own labels, of the
+    positions holding each label, so the cost is the total size of the
+    components."""
     everyone = (1 << len(comps)) - 1
     has: dict = {}  # label -> positions whose component holds it
     for p, comp in enumerate(comps):
         for label in comp:
             has[label] = has.get(label, 0) | 1 << p
-    up, down = [], []
+    up = []
     for comp in comps:
-        held = set(comp)
-        above, lacks = everyone, 0
-        for label, bits in has.items():
-            if label in held:
-                above &= bits
-            else:
-                lacks |= bits
+        above = everyone
+        for label in comp:
+            above &= has[label]
         up.append(above)
-        down.append(everyone & ~lacks)
-    return up, down
+    return up
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """Bit p of ``cols[q]`` is bit q of ``rows[p]``: applied to ``_inclusion``,
+    the positions whose component each component contains."""
+    cols = [0] * len(rows)
+    for p, row in enumerate(rows):
+        bit = 1 << p
+        for q in _elements(row):
+            cols[q] |= bit
+    return cols
 
 
 @dataclass(frozen=True)
@@ -86,22 +90,24 @@ def check_n_ordered(members: Sequence) -> OrderReport:
     component content count as uniqueness violations, which is the point of
     accepting a list rather than an already deduplicated set.
 
-    Per dimension, ``_inclusion`` gives the members above and below each
-    member; the axioms are then unions and intersections of those bitsets.
+    Per dimension, ``_inclusion`` gives the members above each member and
+    its transpose the members below; the axioms are then unions and
+    intersections of those bitsets.
     """
     tuples = [_tuple_of(m) for m in members]
     n = tuples[0].arity if tuples else 0
     if any(t.arity != n for t in tuples):
         raise InputError("members have mixed arity")
     everyone = (1 << len(tuples)) - 1
-    rel = [_inclusion([t.components[i] for t in tuples]) for i in range(n)]
-    sizes = tuple(sum(u.bit_count() for u in up) - len(tuples) for up, _ in rel)
+    above = [_inclusion([t.components[i] for t in tuples]) for i in range(n)]
+    below = [_transpose(up) for up in above]
+    sizes = tuple(sum(u.bit_count() for u in up) - len(tuples) for up in above)
 
     uniq: set[tuple[ComponentTuple, ComponentTuple]] = set()
     anti: set[tuple[ComponentTuple, ComponentTuple]] = set()
     for p, t in enumerate(tuples):
-        ups = [up[p] for up, _ in rel]  # per dimension: members above p
-        downs = [down[p] for _, down in rel]  # per dimension: members below p
+        ups = [up[p] for up in above]  # per dimension: members above p
+        downs = [down[p] for down in below]  # per dimension: members below p
         same = everyone >> (p + 1) << (p + 1)  # only pairs with q > p
         bad = 0
         for j in range(n):
@@ -168,7 +174,7 @@ def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram
         DiagramNode(_tuple_of(groups[c][0]).components[i0], tuple(groups[c]))
         for c in comps
     )
-    up, _ = _inclusion(comps)
+    up = _inclusion(comps)
     ups = [u & ~(1 << a) for a, u in enumerate(up)]  # classes strictly above a
     edges = []
     for a, above in enumerate(ups):

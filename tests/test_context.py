@@ -32,6 +32,20 @@ class TestConstruction:
         with pytest.raises(InputError):
             NContext([("d1", "ab"), ("d2", "xy")], [("a", "z")])
 
+    def test_unknown_label_is_named(self, fig1):
+        # the same message whether the label comes in a relation tuple, a
+        # membership probe or a component tuple
+        message = "element 'z' is not in dimension 'attributes'"
+        with pytest.raises(InputError) as err:
+            NContext(fig1.dims, [("1", "a"), ("2", "z")])
+        assert str(err.value) == message
+        with pytest.raises(InputError) as err:
+            fig1.has(("1", "z"))
+        assert str(err.value) == message
+        with pytest.raises(InputError) as err:
+            fig1.sort_key(box("12", "az"))
+        assert str(err.value) == message
+
     def test_relation_tuple_arity_checked(self):
         with pytest.raises(InputError):
             NContext([("d1", "ab"), ("d2", "xy")], [("a",)])

@@ -4,6 +4,7 @@ import pytest
 
 from polyconcept import (
     ArityError,
+    ConsistencyError,
     InputError,
     IntroducerRecord,
     NContext,
@@ -251,6 +252,34 @@ class TestStructuralInvariants:
         d_intro = introducers_of(records, 2, "d")
         assert d_intro == {box("", "abcd")}
         assert d_intro == introducers_of(introducer_oracle(ctx), 2, "d")
+
+
+class TestConsistencyChecks:
+    """Each extension is checked against the others by fault injection:
+    ``_extend_pos`` is made to answer wrongly for one dimension."""
+
+    @staticmethod
+    def _fault(monkeypatch, dim0, wrong):
+        extend = NContext._extend_pos
+
+        def faulty(self, i0, comps):
+            ext = extend(self, i0, comps)
+            return wrong(ext) if i0 == dim0 else ext
+
+        monkeypatch.setattr(NContext, "_extend_pos", faulty)
+
+    def test_extension_that_loses_its_element(self, fig3, monkeypatch):
+        # the first slice is at element 0 of dimension 1, the first
+        # position of every correct extension there
+        self._fault(monkeypatch, 0, lambda ext: ext[1:])
+        with pytest.raises(ConsistencyError, match="lost 'α'"):
+            introducer_dim(fig3, 1)
+
+    def test_extension_that_is_not_a_concept(self, fig3, monkeypatch):
+        # slicing dimension 1, the re-check of dimension 3 answers wrongly
+        self._fault(monkeypatch, 2, lambda ext: ext[1:] if ext else (0,))
+        with pytest.raises(ConsistencyError, match="is not a concept"):
+            introducer_dim(fig3, 1)
 
 
 def _insert(components, at, values):

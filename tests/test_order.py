@@ -8,6 +8,7 @@ from polyconcept import (
     ArityError,
     ComponentTuple,
     InputError,
+    IntroducerRecord,
     NContext,
     check_n_ordered,
     dimension_diagram,
@@ -72,6 +73,16 @@ class TestAxioms:
             )
             assert report.ok == (not uniq and not anti)
 
+    def test_matches_pairwise_reference_at_realistic_size(self):
+        # more than 30 members, so the bitsets span several int digits
+        for ctx, members in _realistic_member_lists():
+            uniq, anti, sizes = _pairwise_reference(members, ctx.arity)
+            report = check_n_ordered(members)
+            assert report.uniqueness_violations == uniq
+            assert report.antiordinal_violations == anti
+            assert report.per_dimension_relation_sizes == sizes
+            assert uniq and anti  # the doubled and shrunk members
+
     def test_empty_input(self):
         report = check_n_ordered([])
         assert report.ok
@@ -99,6 +110,26 @@ def _random_box_lists():
             for _ in range(rng.randint(1, 8))
         ]
         yield n, labels, [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+
+
+def _realistic_member_lists():
+    """(context, members) for the introducers and the concepts of seeded
+    100x10 and 8x6x5 tables, each with a few members repeated and a few
+    shrunk by one label, so that both axioms are violated far apart."""
+    for shape, seed in (((100, 10), 0), ((100, 10), 1), ((8, 6, 5), 0)):
+        ctx = generate_random(shape, 0.3, seed)
+        for found in (introducers(ctx), list(enumerate_concepts(ctx))):
+            members = [_tuple(m) for m in found]
+            shrunk = [
+                ComponentTuple((m.components[0][:-1], *m.components[1:]))
+                for m in members[::13]
+                if m.components[0]
+            ]
+            yield ctx, members + members[::17] + shrunk
+
+
+def _tuple(member):
+    return member.concept if isinstance(member, IntroducerRecord) else member
 
 
 def _pairwise_reference(members, n):
@@ -202,7 +233,17 @@ class TestDimensionDiagram:
             for i in range(n):
                 diagram = dimension_diagram(ctx, members, i + 1)
                 assert diagram.dimension == i + 1
-                nodes, edges = _diagram_reference(labels, members, i)
+                nodes, edges = _diagram_reference([labels] * n, members, i)
+                assert [(nd.component, nd.members) for nd in diagram.nodes] == nodes
+                assert diagram.edges == edges
+
+    def test_matches_reference_at_realistic_size(self):
+        # more than 30 classes, so the bitsets span several int digits
+        for ctx, members in _realistic_member_lists():
+            orders = [d.elements for d in ctx.dims]
+            for i in range(ctx.arity):
+                diagram = dimension_diagram(ctx, members, i + 1)
+                nodes, edges = _diagram_reference(orders, members, i)
                 assert [(nd.component, nd.members) for nd in diagram.nodes] == nodes
                 assert diagram.edges == edges
 
@@ -225,15 +266,17 @@ class TestDimensionDiagram:
         )
 
 
-def _diagram_reference(labels, members, i):
+def _diagram_reference(orders, members, i):
     """Classes, their members and covering edges of dimension i, by comparing
-    frozensets pairwise; every dimension is ordered like ``labels``."""
+    frozensets pairwise; dimension j is ordered like ``orders[j]``."""
 
-    def key(comp):
-        return tuple(labels.index(lb) for lb in comp)
+    def key(comp, j):
+        return tuple(orders[j].index(lb) for lb in comp)
 
-    ordered = sorted(members, key=lambda m: tuple(key(c) for c in m.components))
-    comps = sorted({m.components[i] for m in members}, key=key)
+    ordered = sorted(
+        members, key=lambda m: tuple(key(c, j) for j, c in enumerate(m.components))
+    )
+    comps = sorted({m.components[i] for m in members}, key=lambda c: key(c, i))
     nodes = [
         (c, tuple(m for m in ordered if m.components[i] == c)) for c in comps
     ]
