@@ -58,7 +58,7 @@ def _load(path: str) -> NContext:
 
 
 def _dim_arg(value: str):
-    return int(value) if value.isdigit() else value
+    return int(value) if value.isascii() and value.isdigit() else value
 
 
 def _oracle_cap(args) -> int:
@@ -259,64 +259,73 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMATS = {"choices": ["text", "structured"], "default": "text"}
+_DIAGRAM_FORMATS = {"choices": ["dot", "text"], "default": "dot"}
+
+# name -> (help, handler, arguments); an argument is (flags, add_argument keywords)
+COMMANDS = {
+    "concepts": ("enumerate all concepts of a context", cmd_concepts, [
+        (["input"], {"help": "tuple file or cross table"}),
+        (["--format"], _FORMATS),
+    ]),
+    "introducers": ("compute introducer concepts", cmd_introducers, [
+        (["input"], {}),
+        (["--dim"], {"type": _dim_arg, "default": None,
+                     "help": "restrict to one dimension (1-based index or name)"}),
+        (["--nontrivial"], {"action": "store_true",
+                            "help": "drop concepts with an empty component"}),
+        (["--format"], _FORMATS),
+    ]),
+    "order": ("per-dimension class diagram", cmd_order, [
+        (["input"], {}),
+        (["--dim"], {"type": _dim_arg, "required": True,
+                     "help": "dimension to order by (1-based index or name)"}),
+        (["--on"], {"choices": ["concepts", "introducers"], "default": "concepts",
+                    "help": "which set to draw"}),
+        (["--format"], _DIAGRAM_FORMATS),
+    ]),
+    "gsh": ("introducer sub-order of a 2D context", cmd_gsh, [
+        (["input"], {}),
+        (["--format"], _DIAGRAM_FORMATS),
+    ]),
+    "stats": ("concept/introducer counts and ratios", cmd_stats, [(["input"], {})]),
+    "verify": ("cross-check the pipeline on one input", cmd_verify, [
+        (["input"], {}),
+        (["--cap"], {"type": int, "default": None,
+                     "help": f"oracle work cap (default {DEFAULT_ORACLE_CAP}, or ${CAP_ENV})"}),
+    ]),
+    "gen": ("emit a seeded random context as a tuple file", cmd_gen, [
+        (["--sizes"], {"required": True, "help": "comma-separated dimension sizes"}),
+        (["--density"], {"type": float, "required": True}),
+        (["--seed"], {"type": int, "required": True}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  A one-command
+    parser still lists every command in its usage line."""
     parser = argparse.ArgumentParser(
         prog="polyconcept",
         description="n-dimensional concept enumeration and introducer analysis",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("concepts", help="enumerate all concepts of a context")
-    p.add_argument("input", help="tuple file or cross table")
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.set_defaults(func=cmd_concepts)
-
-    p = sub.add_parser("introducers", help="compute introducer concepts")
-    p.add_argument("input")
-    p.add_argument("--dim", type=_dim_arg, default=None,
-                   help="restrict to one dimension (1-based index or name)")
-    p.add_argument("--nontrivial", action="store_true",
-                   help="drop concepts with an empty component")
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-    p.set_defaults(func=cmd_introducers)
-
-    p = sub.add_parser("order", help="per-dimension class diagram")
-    p.add_argument("input")
-    p.add_argument("--dim", type=_dim_arg, required=True,
-                   help="dimension to order by (1-based index or name)")
-    p.add_argument("--on", choices=["concepts", "introducers"], default="concepts",
-                   help="which set to draw")
-    p.add_argument("--format", choices=["dot", "text"], default="dot")
-    p.set_defaults(func=cmd_order)
-
-    p = sub.add_parser("gsh", help="introducer sub-order of a 2D context")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["dot", "text"], default="dot")
-    p.set_defaults(func=cmd_gsh)
-
-    p = sub.add_parser("stats", help="concept/introducer counts and ratios")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("verify", help="cross-check the pipeline on one input")
-    p.add_argument("input")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"oracle work cap (default {DEFAULT_ORACLE_CAP}, "
-                        f"or ${CAP_ENV})")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("gen", help="emit a seeded random context as a tuple file")
-    p.add_argument("--sizes", required=True, help="comma-separated dimension sizes")
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_gen)
-
+    # a metavar on the full build would change its "required" and "invalid choice" errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # build the named command's parser only; anything else needs the full one
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InputError, OSError, OracleInfeasibleError) as exc:

@@ -88,6 +88,7 @@ class Dimension:
     name: str
     elements: tuple[str, ...]
     _pos: dict = field(init=False, repr=False, compare=False)
+    _sep: str = field(init=False, repr=False, compare=False)  # joins a component's labels
 
     def __post_init__(self):
         check_dimension_name(self.name)
@@ -102,6 +103,7 @@ class Dimension:
                 )
             pos[label] = k
         object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_sep", "" if all(len(e) == 1 for e in elements) else " ")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -223,11 +223,7 @@ def serialize_tuples(ctx: NContext) -> str:
 
 
 def _component_str(dim: Dimension, labels: Sequence[str]) -> str:
-    if not labels:
-        return "∅"
-    if all(len(e) == 1 for e in dim.elements):
-        return "".join(labels)
-    return " ".join(labels)
+    return dim._sep.join(labels) if labels else "∅"
 
 
 def format_concept(ctx: NContext, t: ComponentTuple) -> str:

@@ -1,5 +1,5 @@
 """End-to-end command-line behaviour via real subprocesses, plus in-process
-checks of failures that a subprocess cannot provoke."""
+checks of failures that a subprocess cannot provoke and of argument parsing."""
 
 import json
 import os
@@ -100,6 +100,14 @@ def test_introducers_fig1_six():
     assert len(res.stdout.splitlines()) == 6
 
 
+def test_dim_digits_other_than_ascii_name_a_dimension(tmp_path):
+    f = tmp_path / "sup.tsv"
+    f.write_text("! ²: a b\n! n: x y\na\tx\n", encoding="utf-8")
+    res = run_cli("order", str(f), "--dim", "²", "--format", "text")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == "dimension: 1 ²"
+
+
 def test_unknown_dimension_is_usage_error():
     res = run_cli("introducers", FIG3_TSV, "--dim", "9")
     assert res.returncode == 2
@@ -126,6 +134,41 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1
+
+
+def test_help_lists_every_command():
+    res = run_cli("--help")
+    assert res.returncode == 0
+    for name in ("concepts", "introducers", "order", "gsh", "stats", "verify", "gen"):
+        assert f"    {name} " in res.stdout, name
+    res = run_cli("verify", "--help")
+    assert res.returncode == 0
+    assert "--cap CAP" in res.stdout
+
+
+def _outcome(argv, capsys):
+    try:
+        status = cli.main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *capsys.readouterr())
+
+
+def test_one_command_parser_behaves_as_full_parser(monkeypatch, capsys):
+    # A complete command line plus an unknown option reaches the root
+    # parser's "unrecognized arguments" error, which prints the root usage
+    # line with every command in it.
+    complete = {name: ["F"] for name in cli.COMMANDS}
+    complete["order"] += ["--dim", "1"]
+    complete["gen"] = ["--sizes", "2", "--density", "0.5", "--seed", "1"]
+    argvs = [[], ["--help"], ["nosuchcommand"], ["verify", "F", "--cap", "x"],
+             ["gen", "--sizes", "2", "--density", "x", "--seed", "1"], ["order", "F"]]
+    for name, args in complete.items():
+        argvs += [[name, "--help"], [name], [name, *args, "--bogus"]]
+    one = [_outcome(argv, capsys) for argv in argvs]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [_outcome(argv, capsys) for argv in argvs] == one
 
 
 def test_out_of_memory_is_exit_2(monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from polyconcept import (
+    ComponentTuple,
     InputError,
     NContext,
     ParseError,
@@ -279,3 +280,9 @@ class TestGenerateRandom:
 def test_format_concept_uses_dimension_order(fig3):
     assert format_concept(fig3, box("αβ", "13", "a")) == "(αβ, 13, a)"
     assert format_concept(fig3, box("", "123", "abc")) == "(∅, 123, abc)"
+
+
+def test_format_concept_spaces_labels_when_one_is_longer():
+    ctx = NContext([("d1", ["a", "bc", "d"]), ("d2", "xy")], [])
+    assert format_concept(ctx, ComponentTuple((("a", "d"), ("x", "y")))) == "(a d, xy)"
+    assert format_concept(ctx, ComponentTuple((("bc",), ()))) == "(bc, ∅)"
