@@ -322,7 +322,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["--"]:  # one leading "--" is accepted; the command follows it
+        del argv[0]
     # build the named command's parser only; anything else needs the full one
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)

@@ -17,6 +17,7 @@ index tuples and laid out again without going through labels.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from operator import ge, getitem, mul
@@ -142,10 +143,13 @@ class ComponentTuple:
     Each component lists its labels once, in its dimension's element order
     (``NContext.box`` builds it; context methods reject any other form), so
     two tuples are equal exactly when they are equal as tuples of sets.  A
-    ComponentTuple is just a box; it need not be full or maximal.
+    ComponentTuple is just a box; it need not be full or maximal.  A tuple
+    made by a context carries its index key for that context's ``dims``.
     """
 
     components: tuple[tuple[str, ...], ...]
+    _key: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _dims: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -190,22 +194,29 @@ class NContext:
             else:
                 name, elements = d
                 norm.append(Dimension(k + 1, name, tuple(elements)))
-        if not norm:
-            raise ArityError("a context needs at least one dimension")
-        names = [d.name for d in norm]
-        if len(set(names)) != len(names):
-            raise InputError(f"dimension names must be unique, got {names}")
         # _build sets what _index reads before it consumes the map.
         self._build(tuple(norm), map(self._index, relation), None)
 
+    @classmethod
+    def _of_indices(cls, dims, rel: Iterable[tuple[int, ...]], provenance=None) -> "NContext":
+        """The context of in-range index tuples over ``Dimension``s numbered 1..n."""
+        ctx = object.__new__(cls)
+        ctx._build(tuple(dims), rel, provenance)
+        return ctx
+
     def _build(self, dims, rel: Iterable[tuple[int, ...]], provenance) -> None:
-        """Set the dimensions and lay index tuples out as bit rows.
+        """Check the dimensions, set them and lay index tuples out as bit rows.
 
         The rows of dimension i flatten the product of the other dimensions
         as ``_layout`` orders them (``_order[i]``, ``_strides[i]``).  Each
         tuple sets one bit of one row per dimension: in the rows of dimension
         i, bit ``sum(p_j * stride_ij)`` over its fields, with stride 0 for i.
         """
+        if not dims:
+            raise ArityError("a context needs at least one dimension")
+        names = [d.name for d in dims]
+        if len(set(names)) != len(names):
+            raise InputError(f"dimension names must be unique, got {names}")
         self._dims = dims
         self._lookup = tuple(d._pos for d in dims)  # read by _index
         self._arity = len(dims)
@@ -246,15 +257,10 @@ class NContext:
 
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
-        # Unless the rows' bit order is index order, decode indices, sort
-        # them and label afterwards, one dimension at a time.
-        by_index = self._order[0] != tuple(range(self._arity - 1))
-        first, *rest = (range(len(d)) if by_index else d.elements for d in self._dims)
+        # The rows' bit order need not be index order: sort, then label.
+        _, *rest = (range(len(d)) for d in self._dims)
         rows = enumerate(self._layers[0])
-        out = [(first[x], *cell) for x, row in rows for cell in self._cells(0, row, rest)]
-        if not by_index:
-            return tuple(out)
-        out.sort()
+        out = sorted((x, *cell) for x, row in rows for cell in self._cells(0, row, rest))
         columns = zip(self._dims, zip(*out))
         return tuple(zip(*(map(d.elements.__getitem__, col) for d, col in columns)))
 
@@ -329,10 +335,13 @@ class NContext:
 
         The one checked step from labels to indices: raises ``InputError``
         for a non-ComponentTuple, a wrong arity, an unknown label, or labels
-        not strictly increasing in their dimension's element order.
+        not strictly increasing in their dimension's element order.  A tuple
+        this context made carries its key, which is returned unchecked.
         """
         if not isinstance(t, ComponentTuple):
             raise InputError(f"expected a ComponentTuple, got {type(t).__name__}")
+        if t._dims is self._dims:
+            return t._key
         if t.arity != self._arity:
             raise InputError(
                 f"tuple has arity {t.arity}, context has arity {self._arity}"
@@ -436,10 +445,12 @@ class NContext:
             for i in range(self._arity)
         )
 
-    def _labelled(self, pos: Sequence[Sequence[int]]) -> ComponentTuple:
-        """The ComponentTuple of ascending index components."""
-        labels = (tuple(d.elements[p] for p in c) for d, c in zip(self._dims, pos))
-        return ComponentTuple(tuple(labels))
+    def _labelled(self, pos: tuple[tuple[int, ...], ...]) -> ComponentTuple:
+        """The ComponentTuple of ascending index components, carrying them."""
+        labels = [tuple(map(d.elements.__getitem__, c)) for d, c in zip(self._dims, pos)]
+        t = object.__new__(ComponentTuple)  # frozen: filled as unpickling does
+        vars(t).update(components=tuple(labels), _key=pos, _dims=self._dims)
+        return t
 
     # -- slicing and 2D derivation --------------------------------------------
 
@@ -456,13 +467,12 @@ class NContext:
         i0 = self._dim0(dim)
         src = self._dims[i0]
         row = self._layers[i0][src.position(element)]
-        # Dimensions before i0 keep their index, so they are reused as they are.
-        later = enumerate(self._dims[i0 + 1 :], i0 + 1)
-        others = self._dims[:i0] + tuple(Dimension(k, d.name, d.elements) for k, d in later)
-        sub = object.__new__(NContext)
+        # Later dimensions are renumbered copies; no label is checked again.
+        others = self._dims[:i0] + tuple(map(copy.copy, self._dims[i0 + 1 :]))
+        for k in range(i0, len(others)):
+            object.__setattr__(others[k], "index", k + 1)
         cells = self._cells(i0, row, [range(len(d)) for d in others])
-        sub._build(others, cells, (src.name, element))
-        return sub
+        return NContext._of_indices(others, cells, (src.name, element))
 
     def derive(self, side, labels: Iterable[str]) -> tuple[str, ...]:
         """2D derivation: elements of the other side related to all of X.

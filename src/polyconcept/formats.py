@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .concepts import ConceptSet
@@ -82,7 +83,7 @@ def _checked(label: str, line_no: int) -> str:
 
 def _split_line(raw: str, sep: str | None, line_no: int) -> list[str]:
     fields = [f.strip() for f in (raw.split(sep) if sep else [raw.strip()])]
-    if any(not f for f in fields):
+    if not all(fields):
         raise ParseError("empty field", line_no)
     return fields
 
@@ -144,17 +145,18 @@ def parse_tuples(text: str) -> NContext:
             for k, seen in enumerate(order)
         ]
 
+    lookup = [d._pos for d in dims]
     relation = []
     for line_no, fields in rows:
-        for d, lb in zip(dims, fields):
-            if lb not in d:
-                raise ParseError(
-                    f"element {lb!r} is not declared in dimension {d.name!r}",
-                    line_no,
-                )
-        relation.append(tuple(fields))
+        try:
+            relation.append(tuple(map(getitem, lookup, fields)))
+        except KeyError:
+            d, lb = next((d, lb) for d, lb in zip(dims, fields) if lb not in d)
+            raise ParseError(
+                f"element {lb!r} is not declared in dimension {d.name!r}", line_no
+            ) from None
     try:
-        return NContext(dims, relation)
+        return NContext._of_indices(dims, relation)
     except InputError as exc:
         raise ParseError(str(exc)) from None
 
@@ -173,7 +175,7 @@ def parse_cross_table(text: str) -> NContext:
     if any(not a for a in attrs):
         raise ParseError("empty attribute label", head_no)
     objects: dict[str, None] = {}
-    relation: list[tuple[str, str]] = []
+    relation: list[tuple[int, int]] = []
     for line_no, raw in lines[1:]:
         fields = [f.strip() for f in raw.split(sep)]
         if len(fields) != len(header):
@@ -188,9 +190,9 @@ def parse_cross_table(text: str) -> NContext:
                 f"dimension 'objects' declares element {obj!r} twice", line_no
             )
         objects[_checked(obj, line_no)] = None
-        for attr, cell in zip(attrs, fields[1:]):
+        for y, cell in enumerate(fields[1:]):
             if cell in ("x", "×"):
-                relation.append((obj, attr))
+                relation.append((len(objects) - 1, y))
             elif cell:
                 raise ParseError(
                     f"cell must be 'x', '×', or empty, got {cell!r}", line_no
@@ -199,7 +201,7 @@ def parse_cross_table(text: str) -> NContext:
         attributes = Dimension(2, "attributes", tuple(attrs))
     except InputError as exc:
         raise ParseError(str(exc), head_no) from None
-    return NContext([Dimension(1, "objects", tuple(objects)), attributes], relation)
+    return NContext._of_indices([Dimension(1, "objects", tuple(objects)), attributes], relation)
 
 
 def parse_context(text: str) -> NContext:
@@ -337,9 +339,8 @@ def generate_random(
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must be within [0, 1], got {density}")
     dims = [
-        (
-            f"dim{i + 1}",
-            tuple(f"{chr(ord('a') + i % 26)}{k + 1}" for k in range(s)),
+        Dimension(
+            i + 1, f"dim{i + 1}", tuple(f"{chr(ord('a') + i % 26)}{k + 1}" for k in range(s))
         )
         for i, s in enumerate(sizes)
     ]
@@ -349,7 +350,5 @@ def generate_random(
     for cell in itertools.product(*(range(s) for s in sizes)):
         state = (state * _LCG_MUL + _LCG_INC) & _LCG_MASK
         if (state >> 40) < threshold:
-            relation.append(
-                tuple(dims[i][1][p] for i, p in enumerate(cell))
-            )
-    return NContext(dims, relation)
+            relation.append(cell)
+    return NContext._of_indices(dims, relation)

@@ -12,7 +12,7 @@ covering relation of the classes after transitive reduction.
 Both are built from one kernel, ``_inclusion``: for each of a list of
 components, the bitset of the positions whose component contains it.  The
 diagrams need only that direction; the axiom check also needs the positions
-each component contains, which ``_transpose`` reads off the same bitsets.
+each component contains, which ``_up_down`` derives from the same bitsets.
 """
 
 from __future__ import annotations
@@ -34,34 +34,48 @@ def _tuple_of(member) -> ComponentTuple:
     )
 
 
-def _inclusion(comps: Sequence[Sequence]) -> list[int]:
-    """Per position p, the bitset of the positions whose component contains
-    ``comps[p]``, p itself included: the AND, over p's own labels, of the
-    positions holding each label, so the cost is the total size of the
-    components."""
+def _inclusion(comps: Sequence[Sequence]) -> tuple[dict, dict]:
+    """For each distinct component c, in order of first appearance, the
+    positions whose component contains c: the AND over c's labels of
+    ``has[label]``, the positions holding the label, which is also returned."""
     everyone = (1 << len(comps)) - 1
-    has: dict = {}  # label -> positions whose component holds it
+    has: dict = {}
     for p, comp in enumerate(comps):
         for label in comp:
             has[label] = has.get(label, 0) | 1 << p
-    up = []
-    for comp in comps:
+    up = {}
+    for comp in dict.fromkeys(comps):
         above = everyone
         for label in comp:
             above &= has[label]
-        up.append(above)
-    return up
+        up[comp] = above
+    return up, has
 
 
-def _transpose(rows: Sequence[int]) -> list[int]:
-    """Bit p of ``cols[q]`` is bit q of ``rows[p]``: applied to ``_inclusion``,
-    the positions whose component each component contains."""
-    cols = [0] * len(rows)
-    for p, row in enumerate(rows):
-        bit = 1 << p
-        for q in _elements(row):
-            cols[q] |= bit
-    return cols
+def _up_down(comps: Sequence[Sequence]) -> tuple[list[int], list[int], int]:
+    """Per position p, the positions whose component contains ``comps[p]``,
+    those it contains, and the number of comparable pairs.  The second are
+    found whichever way takes fewer bitset steps: transposing the first (one
+    per set bit) or ORing the holders of each label a component lacks (one
+    per missing label)."""
+    above, has = _inclusion(comps)
+    up = [above[c] for c in comps]
+    pairs = sum(map(int.bit_count, up))
+    if pairs <= len(above) * len(has) - sum(map(len, above)):
+        cols = [0] * len(up)
+        for p, row in enumerate(up):
+            bit = 1 << p
+            for q in _elements(row):
+                cols[q] |= bit
+        return up, cols, pairs
+    everyone = (1 << len(comps)) - 1
+    down = {}
+    for comp in above:
+        lacks = 0
+        for label in has.keys() - comp:
+            lacks |= has[label]
+        down[comp] = everyone & ~lacks
+    return up, [down[comp] for comp in comps], pairs
 
 
 @dataclass(frozen=True)
@@ -90,24 +104,22 @@ def check_n_ordered(members: Sequence) -> OrderReport:
     component content count as uniqueness violations, which is the point of
     accepting a list rather than an already deduplicated set.
 
-    Per dimension, ``_inclusion`` gives the members above each member and
-    its transpose the members below; the axioms are then unions and
-    intersections of those bitsets.
+    Per dimension, ``_up_down`` gives the members above and below each
+    member; the axioms are then unions and intersections of those bitsets.
     """
     tuples = [_tuple_of(m) for m in members]
     n = tuples[0].arity if tuples else 0
     if any(t.arity != n for t in tuples):
         raise InputError("members have mixed arity")
     everyone = (1 << len(tuples)) - 1
-    above = [_inclusion([t.components[i] for t in tuples]) for i in range(n)]
-    below = [_transpose(up) for up in above]
-    sizes = tuple(sum(u.bit_count() for u in up) - len(tuples) for up in above)
+    rel = [_up_down([t.components[i] for t in tuples]) for i in range(n)]
+    sizes = tuple(pairs - len(tuples) for _, _, pairs in rel)
 
     uniq: set[tuple[ComponentTuple, ComponentTuple]] = set()
     anti: set[tuple[ComponentTuple, ComponentTuple]] = set()
     for p, t in enumerate(tuples):
-        ups = [up[p] for up in above]  # per dimension: members above p
-        downs = [down[p] for down in below]  # per dimension: members below p
+        ups = [up[p] for up, _, _ in rel]  # per dimension: members above p
+        downs = [down[p] for _, down, _ in rel]  # per dimension: members below p
         same = everyone >> (p + 1) << (p + 1)  # only pairs with q > p
         bad = 0
         for j in range(n):
@@ -160,8 +172,8 @@ def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram
     Members are keyed once with ``ctx.sort_key``, which rejects a wrong
     arity, an unknown label or a non-canonical component, and sorted once, so
     each class comes out in canonical order and holds one set; classes are
-    ordered by their component's key.  Edges are the covering pairs: the
-    classes above a class, minus every class above one of those.
+    ordered by their component's key.  Edges are the covering pairs: ranked by
+    size, the lowest class above a that is above no cover of a yet covers a.
     """
     i0 = ctx._dim0(dim)
     keyed = [(ctx.sort_key(_tuple_of(m)), m) for m in members]
@@ -174,14 +186,16 @@ def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram
         DiagramNode(_tuple_of(groups[c][0]).components[i0], tuple(groups[c]))
         for c in comps
     )
-    up = _inclusion(comps)
-    ups = [u & ~(1 << a) for a, u in enumerate(up)]  # classes strictly above a
+    rank = sorted(range(len(comps)), key=lambda a: len(comps[a]))
+    up = list(_inclusion([comps[a] for a in rank])[0].values())  # in rank order
     edges = []
-    for a, above in enumerate(ups):
-        beyond = 0
-        for c in _elements(above):
-            beyond |= ups[c]
-        edges.extend((a, b) for b in _elements(above & ~beyond))
+    for r, above in enumerate(up):
+        above &= ~(1 << r)
+        while above:
+            c = (above & -above).bit_length() - 1
+            edges.append((rank[r], rank[c]))
+            above &= ~up[c]  # c and every class above it
+    edges.sort()
     return DimensionDiagram(dimension=i0 + 1, nodes=nodes, edges=tuple(edges))
 
 

@@ -171,6 +171,16 @@ def test_one_command_parser_behaves_as_full_parser(monkeypatch, capsys):
     assert [_outcome(argv, capsys) for argv in argvs] == one
 
 
+def test_leading_separator_before_the_command(capsys):
+    # one leading "--" is dropped and the command after it runs; a second is not
+    plain = _outcome(["verify", FIG1_CSV], capsys)
+    assert plain[0] == 0
+    assert _outcome(["--", "verify", FIG1_CSV], capsys) == plain
+    status, out, err = _outcome(["--", "--", "verify", FIG1_CSV], capsys)
+    assert status == 2 and out == ""
+    assert "invalid choice: '--'" in err
+
+
 def test_out_of_memory_is_exit_2(monkeypatch, capsys):
     def exhausted(ctx, **kwargs):
         raise MemoryError

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +14,12 @@ from polyconcept import (
     Dimension,
     InputError,
     NContext,
+    dimension_diagram,
+    enumerate_concepts,
+    export_dot,
     generate_random,
+    introducers,
+    serialize_concepts,
 )
 
 from conftest import box
@@ -277,3 +284,85 @@ def test_width_bits_matches_cell_by_cell_reference():
                     expected |= 1 << sum(p * s for p, s in zip(cell, strides))
                 assert ctx._width_bits(i0, comps) == expected, (sizes, i0, comps)
     assert NContext([("d", "ab")], [("a",)])._width_bits(0, ()) == 1
+
+
+def _outcome(ctx, t):
+    """``ctx.sort_key(t)``, or the type of the error it raises."""
+    try:
+        return ctx.sort_key(t)
+    except InputError as exc:
+        return type(exc)
+
+
+class TestCarriedKey:
+    """A tuple a context makes carries its key; ``sort_key`` returns it only
+    to that same context (``dims`` identity) and checks every other tuple."""
+
+    def test_carried_keys_equal_the_full_check_on_the_sweep(self, sweep_results):
+        # Every tuple is also handed to a foreign context, where the answer
+        # must be the full check's, value or error: a context of the next
+        # sweep shape (the sweep runs 300 contexts per shape), and the
+        # parent of a slice.
+        for k, res in enumerate(sweep_results):
+            ctx = res["ctx"]
+            foreign = sweep_results[(k + 300) % len(sweep_results)]["ctx"]
+            assert foreign.dims != ctx.dims
+            owned = [(ctx, t, foreign) for t in res["concepts"]]
+            owned += [(ctx, t, foreign) for t in res["brute"]]
+            owned += [(ctx, r.concept, foreign) for r in res["records"]]
+            for d in ctx.dims:
+                for x in d.elements:
+                    sub = ctx.slice(d.index, x)
+                    owned += [(sub, t, ctx) for t in enumerate_concepts(sub)]
+            for owner, t, other in owned:
+                assert t._dims is owner.dims
+                assert owner.sort_key(t) == t._key == owner.sort_key(replace(t))
+                assert _outcome(other, t) == _outcome(other, replace(t))
+
+    def test_tuples_from_other_sources_take_the_full_check(self, fig3):
+        t = enumerate_concepts(fig3)[4]
+        assert t == box("αβ", "13", "a") and t._key == ((0, 1), (0, 2), (0,))
+        # same names and labels, dim2 in another element order
+        flipped = NContext(
+            [(d.name, d.elements[:: -1 if d.index == 2 else 1]) for d in fig3.dims],
+            fig3.tuples(),
+        )
+        with pytest.raises(InputError):  # 1 3 is not canonical there
+            flipped.sort_key(t)
+        single = enumerate_concepts(fig3)[1]
+        assert single == box("α", "1", "ab") and single._key == ((0,), (0,), (0, 1))
+        assert flipped.sort_key(single) == ((0,), (2,), (0, 1))
+        # copies that are not the context's own tuple, their key spoiled
+        spoiled = ((9,), (9,), (9,))
+        for other in (pickle.loads(pickle.dumps(t)), replace(t), fig3.box(*t.components)):
+            vars(other)["_key"] = spoiled
+            assert fig3.sort_key(other) == t._key
+        moved = replace(t, components=(("β", "α"), ("1", "3"), ("a",)))
+        with pytest.raises(InputError):
+            fig3.sort_key(moved)
+
+    def test_pipelines_look_no_label_up(self, monkeypatch):
+        class NoLookup(dict):
+            def __getitem__(self, label):
+                raise AssertionError(f"label {label!r} looked up")
+
+            __contains__ = get = __getitem__
+
+        ctx = generate_random((9, 6, 4), 0.4, 3)
+        records = introducers(ctx)
+        expected_dots = [
+            export_dot(ctx, dimension_diagram(ctx, records, d.index)) for d in ctx.dims
+        ]
+        found = enumerate_concepts(ctx)
+        expected_text = serialize_concepts(ctx, found)
+        for d in ctx.dims:
+            object.__setattr__(d, "_pos", NoLookup(d._pos))
+        monkeypatch.setattr(NContext, "_index", NoLookup.__getitem__)
+        records = introducers(ctx)
+        dots = [export_dot(ctx, dimension_diagram(ctx, records, d.index)) for d in ctx.dims]
+        assert dots == expected_dots
+        found = enumerate_concepts(ctx)
+        assert serialize_concepts(ctx, found) == expected_text
+        assert serialize_concepts(ctx, list(found)[::-1]) == expected_text
+        with pytest.raises(AssertionError):  # the patch is in force
+            dimension_diagram(ctx, [ComponentTuple((("a1",), (), ()))], 1)

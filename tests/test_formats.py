@@ -71,6 +71,25 @@ class TestParseTuples:
             parse_tuples("! d1: a b\n! d2: x\nc\tx\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "body, line, label, dim",
+        [("x\ta\n", 3, "x", "d1"), ("a\tx\nb\ta\n", 4, "a", "d2"),
+         ("a\tx\nb\tx\nq\ty\n", 5, "q", "d1")],
+    )
+    def test_label_of_another_dimension_reports_line_and_dimension(
+        self, body, line, label, dim
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_tuples("! d1: a b\n! d2: x y\n" + body)
+        assert err.value.line == line
+        assert str(err.value) == (
+            f"line {line}: element {label!r} is not declared in dimension {dim!r}"
+        )
+
+    def test_repeated_dimension_name_in_headers_rejected(self):
+        with pytest.raises(ParseError, match="dimension names must be unique"):
+            parse_tuples("! d: a b\n! d: x y\na\tx\n")
+
     def test_empty_body_without_header_rejected(self):
         with pytest.raises(ParseError):
             parse_tuples("# nothing here\n")
@@ -116,7 +135,8 @@ class TestParseCrossTable:
         assert err.value.line == 2
 
     @pytest.mark.parametrize(
-        "text, line", [(",a,b\np,x,\nq,,x\np,x,x\n", 4), (",a,b\na b,x,\n", 2)]
+        "text, line",
+        [(",a,b\np,x,\nq,,x\np,x,x\n", 4), (",a,b\na b,x,\n", 2), (",a,b\np,x,\n!q,,x\n", 3)],
     )
     def test_bad_object_label_reports_its_line(self, text, line):
         with pytest.raises(ParseError) as err:

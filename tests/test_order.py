@@ -83,6 +83,29 @@ class TestAxioms:
             assert report.per_dimension_relation_sizes == sizes
             assert uniq and anti  # the doubled and shrunk members
 
+    def test_matches_pairwise_reference_when_dimensions_choose_differently(self):
+        # Dimension 1 holds singletons of 37 labels: few members above each,
+        # many labels missing, so the members below are found by transposing.
+        # Dimension 2 holds prefixes of "abc": the reverse, so they are found
+        # by ORing the positions of the missing labels.  The first member is
+        # repeated, and the second comes again with a larger prefix, which
+        # only the members below it in dimension 2 tell apart.
+        members = [
+            ComponentTuple(((f"o{p}",), tuple("abc"[: 1 + p % 3]))) for p in range(37)
+        ]
+        members += [members[0], ComponentTuple((("o1",), ("a", "b", "c")))]
+        for i, transposes in ((0, True), (1, False)):
+            comps = [m.components[i] for m in members]
+            held = {lb for c in comps for lb in c}
+            set_bits = sum(set(c) <= set(d) for c in comps for d in comps)
+            missing = sum(len(held - set(c)) for c in set(comps))
+            assert (set_bits <= missing) == transposes
+        uniq, anti, sizes = _pairwise_reference(members, 2)
+        report = check_n_ordered(members)
+        assert report.uniqueness_violations == uniq and len(uniq) == 1
+        assert report.antiordinal_violations == anti and anti
+        assert report.per_dimension_relation_sizes == sizes
+
     def test_empty_input(self):
         report = check_n_ordered([])
         assert report.ok
