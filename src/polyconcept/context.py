@@ -161,6 +161,10 @@ class ComponentTuple:
     def __str__(self) -> str:
         return "(" + ", ".join(" ".join(c) if c else "∅" for c in self.components) + ")"
 
+    def __reduce__(self):
+        # A copy cannot keep the dims identity its key is valid for.
+        return ComponentTuple, (self.components,)
+
 
 class NContext:
     """An immutable n-ary cross table.
@@ -250,17 +254,11 @@ class NContext:
     def relation_size(self) -> int:
         return sum(row.bit_count() for row in self._layers[0])
 
-    @property
-    def relation(self) -> frozenset[tuple[str, ...]]:
-        """The relation as a frozenset of label tuples."""
-        return frozenset(self.tuples())
-
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
         # The rows' bit order need not be index order: sort, then label.
-        _, *rest = (range(len(d)) for d in self._dims)
         rows = enumerate(self._layers[0])
-        out = sorted((x, *cell) for x, row in rows for cell in self._cells(0, row, rest))
+        out = sorted((x, *cell) for x, row in rows for cell in self._cells(0, row))
         columns = zip(self._dims, zip(*out))
         return tuple(zip(*(map(d.elements.__getitem__, col) for d, col in columns)))
 
@@ -362,13 +360,11 @@ class NContext:
 
     # -- bit-row machinery ---------------------------------------------------
 
-    def _cells(self, i0: int, row: int, lookup: Sequence[Sequence]) -> list[tuple]:
-        """The cells set in a row of dimension i0, in bit order, as tuples
-        over the other dimensions in original order: ``lookup[k][p]`` stands
-        for position p of the k-th of them (a ``range`` for indices, the
-        ``elements`` for labels)."""
-        radix = [(s, len(e), e) for s, e in zip(self._strides[i0], lookup)]
-        return [tuple([e[c // s % n] for s, n, e in radix]) for c in _elements(row)]
+    def _cells(self, i0: int, row: int) -> list[tuple[int, ...]]:
+        """The cells set in a row of dimension i0, in bit order, as index
+        tuples over the other dimensions in original order."""
+        radix = list(zip(self._strides[i0], map(len, self._dims[:i0] + self._dims[i0 + 1 :])))
+        return [tuple([c // s % n for s, n in radix]) for c in _elements(row)]
 
     def _width_bits(self, i0: int, comps: Sequence[Sequence[int]]) -> int:
         """Mask of the product of index components over all dimensions != i0.
@@ -471,8 +467,7 @@ class NContext:
         others = self._dims[:i0] + tuple(map(copy.copy, self._dims[i0 + 1 :]))
         for k in range(i0, len(others)):
             object.__setattr__(others[k], "index", k + 1)
-        cells = self._cells(i0, row, [range(len(d)) for d in others])
-        return NContext._of_indices(others, cells, (src.name, element))
+        return NContext._of_indices(others, self._cells(i0, row), (src.name, element))
 
     def derive(self, side, labels: Iterable[str]) -> tuple[str, ...]:
         """2D derivation: elements of the other side related to all of X.

@@ -13,7 +13,7 @@ it directly and no slice context is built.  The definition is kept alive as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .concepts import DEFAULT_ORACLE_CAP, brute_force_concepts, closed_tuples
 from .context import ArityError, ComponentTuple, InputError, NContext
@@ -34,28 +34,6 @@ class IntroducerRecord:
 
     concept: ComponentTuple
     introduces: tuple[tuple[int, tuple[str, ...]], ...]
-
-    @classmethod
-    def make(
-        cls, ctx: NContext, concept: ComponentTuple, introduces: Mapping[int, Iterable[str]]
-    ) -> "IntroducerRecord":
-        pairs = []
-        for dim in sorted(introduces):
-            d = ctx.dim(dim)
-            labels = d.canonical(introduces[dim])
-            if not labels:
-                continue
-            comp = set(concept.components[d.index - 1])
-            for lb in labels:
-                if lb not in comp:
-                    raise InputError(
-                        f"{lb!r} is marked as introduced but is not in "
-                        f"component {d.index} of {concept}"
-                    )
-            pairs.append((d.index, labels))
-        if not pairs:
-            raise InputError(f"record for {concept} introduces nothing")
-        return cls(concept, tuple(pairs))
 
     def introduced(self, dim: int) -> tuple[str, ...]:
         """Elements of 1-based dimension ``dim`` this concept introduces."""
@@ -91,21 +69,21 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
     return tuple(ctx.dims[i0].elements[p] for p in ext)
 
 
-def _gather(
-    ctx: NContext, dim_positions: Sequence[int]
-) -> tuple[IntroducerRecord, ...]:
-    """Slice-and-extend over the given 0-based dimensions; merge annotations."""
+def _gather(ctx: NContext, dim=None) -> tuple[IntroducerRecord, ...]:
+    """Slice-and-extend over dimension ``dim``, or over all; merge annotations."""
+    if ctx.arity < 2:
+        raise ArityError("introducer computation needs at least 2 dimensions")
     bucket: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
-    for i0 in dim_positions:
-        dim = ctx.dims[i0]
-        for x in range(len(dim)):
+    for i0 in range(ctx.arity) if dim is None else [ctx._dim0(dim)]:
+        elements = ctx.dims[i0].elements
+        for x in range(len(elements)):
             for width in closed_tuples(*ctx._search_input(i0, x)):
                 ext = ctx._extend_pos(i0, width)
                 pos = width[:i0] + ((x,),) + width[i0:]
                 concept = width[:i0] + (ext,) + width[i0:]
                 if x not in ext:
                     raise ConsistencyError(
-                        f"extension of {ctx._labelled(pos)} lost {dim.elements[x]!r}"
+                        f"extension of {ctx._labelled(pos)} lost {elements[x]!r}"
                     )
                 # ext is the extension through i0 of the other components,
                 # so only the other dimensions can fail to be maximal.
@@ -142,9 +120,7 @@ def introducer_dim(ctx: NContext, dim) -> tuple[IntroducerRecord, ...]:
     slice produced it.  Every extension is checked to contain x and to be a
     concept.
     """
-    if ctx.arity < 2:
-        raise ArityError("introducer computation needs at least 2 dimensions")
-    return _gather(ctx, [ctx._dim0(dim)])
+    return _gather(ctx, dim)
 
 
 def introducers(ctx: NContext) -> tuple[IntroducerRecord, ...]:
@@ -153,9 +129,7 @@ def introducers(ctx: NContext) -> tuple[IntroducerRecord, ...]:
     Union of the per-dimension runs; a concept that introduces elements in
     several dimensions becomes a single record carrying all annotations.
     """
-    if ctx.arity < 2:
-        raise ArityError("introducer computation needs at least 2 dimensions")
-    return _gather(ctx, range(ctx.arity))
+    return _gather(ctx)
 
 
 def nontrivial_filter(
@@ -180,7 +154,7 @@ def introducer_oracle(
 
 def _oracle_records(ctx: NContext, base) -> tuple[IntroducerRecord, ...]:
     """``introducer_oracle`` given the context's exhaustive concept set."""
-    bucket: dict[ComponentTuple, dict[int, set[str]]] = {}
+    bucket: dict[ComponentTuple, dict[int, list[str]]] = {}
     for i0, dim in enumerate(ctx.dims):
         with_widths = [
             (
@@ -203,7 +177,9 @@ def _oracle_records(ctx: NContext, base) -> tuple[IntroducerRecord, ...]:
                     for _, w2 in cands
                 )
                 if not dominated:
-                    bucket.setdefault(c, {}).setdefault(i0 + 1, set()).add(x)
+                    bucket.setdefault(c, {}).setdefault(i0 + 1, []).append(x)
+    # Each x is visited once per dimension, in element order.
     return tuple(
-        IntroducerRecord.make(ctx, c, bucket[c]) for c in base if c in bucket
+        IntroducerRecord(c, tuple((d, tuple(xs)) for d, xs in sorted(bucket[c].items())))
+        for c in base if c in bucket
     )

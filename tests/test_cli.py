@@ -242,9 +242,10 @@ def test_verify_uniqueness_failure_is_exit_1(monkeypatch, capsys):
 def test_introducer_commands_need_two_dimensions(tmp_path):
     f = tmp_path / "one.txt"
     f.write_text("x\ny\n", encoding="utf-8")
-    for command in ("introducers", "stats", "verify"):
-        res = run_cli(command, str(f))
-        assert res.returncode == 2, command
+    inputs = (["introducers"], ["introducers", "--dim", "2"], ["stats"], ["verify"])
+    for command, *extra in inputs:
+        res = run_cli(command, str(f), *extra)
+        assert res.returncode == 2, (command, extra)
         assert res.stdout == ""
         assert res.stderr == "error: introducer computation needs at least 2 dimensions\n"
     # concepts and order take the same file

@@ -1,5 +1,7 @@
 """Context construction, slicing, box predicates, and 2D derivation."""
 
+import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -70,8 +72,8 @@ class TestConstruction:
         assert not fig1.has(("2", "a"))
 
     def test_relation_exposed_as_label_tuples(self, fig1):
-        assert ("1", "a") in fig1.relation
-        assert len(fig1.relation) == fig1.relation_size == 6
+        assert ("1", "a") in fig1.tuples()
+        assert len(fig1.tuples()) == fig1.relation_size == 6
 
     def test_frozen_value_types(self, fig1):
         t = fig1.box({"1"}, {"a", "b"})
@@ -294,6 +296,26 @@ def _outcome(ctx, t):
         return type(exc)
 
 
+# Every output over the sweep, in canonical order and with its labels, as
+# reprs.  A change that alters output on purpose updates this digest.
+SWEEP_DIGEST = "6c79bea744b48fa3a7d91d8e01fb37a15d507254e6deb63b5e9844d9be819662"
+
+
+def test_sweep_outputs_are_identical(sweep_results):
+    h = hashlib.sha256()
+    for res in sweep_results:
+        outputs = (
+            tuple(res["concepts"]),
+            tuple(res["brute"]),
+            res["records"],
+            res["oracle_records"],
+            res["ctx"].tuples(),
+        )
+        for out in outputs:
+            h.update((repr(out) + "\n").encode())
+    assert h.hexdigest() == SWEEP_DIGEST
+
+
 class TestCarriedKey:
     """A tuple a context makes carries its key; ``sort_key`` returns it only
     to that same context (``dims`` identity) and checks every other tuple."""
@@ -318,6 +340,17 @@ class TestCarriedKey:
                 assert t._dims is owner.dims
                 assert owner.sort_key(t) == t._key == owner.sort_key(replace(t))
                 assert _outcome(other, t) == _outcome(other, replace(t))
+
+    def test_copies_drop_the_carried_key(self, fig3):
+        # The key is only valid for its context's own dims object, which a
+        # copy cannot keep.
+        t = enumerate_concepts(fig3)[4]
+        r = introducers(fig3)[0]
+        assert t._dims is r.concept._dims is fig3.dims
+        assert pickle.dumps(t) == pickle.dumps(ComponentTuple(t.components))
+        bare = replace(r, concept=ComponentTuple(r.concept.components))
+        assert pickle.dumps(r) == pickle.dumps(bare)
+        assert copy.deepcopy(t)._dims is None and copy.deepcopy(t) == t
 
     def test_tuples_from_other_sources_take_the_full_check(self, fig3):
         t = enumerate_concepts(fig3)[4]
