@@ -4,13 +4,13 @@ One search, ``closed_tuples``, enumerates the concepts of an n-ary relation
 held as one ``int`` bitmask: Close-by-One (Kuznetsov & Obiedkov, JETAI 2002)
 over one dimension against the cells of the others, nested once per
 dimension in the manner of TRIAS (Jäschke, Hotho, Schmitz, Ganter & Stumme,
-ICDM 2006).  It has two callers: ``enumerate_concepts`` runs it on the
-relation of a context, and the introducer computation runs it on each
-slice's row of that relation, both as ``NContext._search_input`` lays it out.
-``brute_force_concepts`` is the exhaustive oracle: it walks every subset
-combination of all dimensions but the largest, derives the remaining maximal
-component, and keeps what passes the concept test.  The two must agree on
-every input the oracle can afford, and the test suite holds them to that.
+ICDM 2006) down to two dimensions, whose closed pairs are the concepts.  A
+candidate j is tested for canonicity on the rows below j, and only a
+canonical one is closed, on the rows from j up.  ``enumerate_concepts`` runs
+it on the relation of a context and the introducer computation on each
+slice's row of it, both as ``NContext._search_input`` lays it out.
+``brute_force_concepts``, the exhaustive oracle, must agree with it on every
+input the oracle can afford, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -94,37 +94,49 @@ def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
     """(component masks, box mask) of every concept of ``rel``, each once.
 
     Close-by-One walks the closed pairs (A, C) of the first dimension against
-    the cells of the others on an explicit stack: a child adds an element j
-    above the last one added and is kept only if its closure adds none below
-    j.  Each concept T of C as an (n-1)-ary relation gives the concept
-    (A, T) iff A is the whole extension of T's box.  A 1-ary relation is its
-    own single concept.  Box masks are built only when ``boxed``.
+    the cells of the others on an explicit stack.  A child adds a row j above
+    the last one added and, with D the cells of C in row j, is canonical iff
+    no row b < j outside A covers D; only then is it closed, from A over the
+    rows from j up, since the rows of A cover D and those below j do not.
+    With two dimensions the closed pairs are the concepts; with more, each
+    concept T of C as an (n-1)-ary relation gives the concept (A, T) iff no
+    row outside A covers T's box.  A 1-ary relation is its own single
+    concept.  Box masks are built only when ``boxed``.
     """
     if len(sizes) == 1:
         yield (rel,), rel
         return
-    stride = math.prod(sizes[1:])
+    n, stride = sizes[0], math.prod(sizes[1:])
     full = (1 << stride) - 1
-    # One (bit, cell row) pair per element of the outer dimension.
-    rows = [(1 << a, rel >> a * stride & full) for a in range(sizes[0])]
-
-    def ext(cells: int) -> int:
-        return sum([bit for bit, row in rows if row & cells == cells])
-
-    stack = [(ext(full), full, 0)]
+    rows = [rel >> b * stride & full for b in range(n)]
+    stack = [(sum([1 << b for b in range(n) if rows[b] == full]), full, 0)]
     while stack:
         a, c, y = stack.pop()
-        # ext(c) is a, so a concept whose box is all of c needs no test.
-        for comps, box in _cbo(sizes[1:], c, True):
-            if box == c or ext(box) == a:
-                if boxed:
-                    box = sum(box << p * stride for p in _elements(a))
-                yield (a,) + comps, box
-        for j in range(y, len(rows)):
-            bit, d = rows[j]
-            d &= c
-            if not a & bit and not any(r & d == d for b, r in rows[:j] if not a & b):
-                stack.append((a | ext(d), d, j + 1))
+        if len(sizes) == 2:
+            yield (a, c), sum(c << p * stride for p in _elements(a)) if boxed else 0
+        else:
+            for comps, box in _cbo(sizes[1:], c, True):
+                # The rows of A cover c, so a box that is all of c is kept.
+                for b in range(n) if box != c else ():
+                    if rows[b] & box == box and not a >> b & 1:
+                        break
+                else:
+                    if boxed:
+                        box = sum(box << p * stride for p in _elements(a))
+                    yield (a,) + comps, box
+        for j in range(y, n):
+            if a >> j & 1:
+                continue
+            d = rows[j] & c
+            for b in range(j):
+                if rows[b] & d == d and not a >> b & 1:
+                    break
+            else:
+                e = a
+                for k in range(j, n):
+                    if rows[k] & d == d:
+                        e |= 1 << k
+                stack.append((e, d, j + 1))
 
 
 def closed_tuples(

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from operator import ge, getitem, mul
 from typing import Iterable, Sequence
 
+MAX_ARITY = 500  # the concept search nests one generator per dimension
+
 
 class InputError(ValueError):
     """A label, tuple, or dimension selector does not fit the context."""
@@ -393,9 +395,7 @@ class NContext:
         vacuously; for a 1-dimensional context the result is the relation.
         """
         w = self._width_bits(i0, comps)
-        return tuple(
-            e for e, row in enumerate(self._layers[i0]) if row & w == w
-        )
+        return tuple([e for e, row in enumerate(self._layers[i0]) if row & w == w])
 
     def _search_input(self, i0: int | None = None, x: int = 0):
         """(sizes, mask, order), the input of ``concepts.closed_tuples``.
@@ -404,7 +404,10 @@ class NContext:
         no i0, the whole relation is the rows of the smallest dimension (the
         first on a tie) packed, that dimension slowest.  ``order`` maps the
         mask's dimensions, smallest first, to their original positions.
+        Raises ``ArityError`` above ``MAX_ARITY`` dimensions.
         """
+        if self._arity > MAX_ARITY:
+            raise ArityError(f"concept search takes at most {MAX_ARITY} dimensions, got {self._arity}")
         sizes = [len(d) for d in self._dims]
         if i0 is not None:
             order = self._order[i0]
@@ -436,10 +439,10 @@ class NContext:
     def _is_concept_pos(self, pos: tuple[tuple[int, ...], ...]) -> bool:
         """``is_concept`` on index components: each equals the extension of
         the others (for dimension 0 that also makes the box full)."""
-        return all(
-            self._extend_pos(i, pos[:i] + pos[i + 1 :]) == pos[i]
-            for i in range(self._arity)
-        )
+        for i in range(self._arity):
+            if self._extend_pos(i, pos[:i] + pos[i + 1 :]) != pos[i]:
+                return False
+        return True
 
     def _labelled(self, pos: tuple[tuple[int, ...], ...]) -> ComponentTuple:
         """The ComponentTuple of ascending index components, carrying them."""

@@ -19,6 +19,7 @@ from polyconcept import (
     introducer_oracle,
     introducers,
 )
+from polyconcept.concepts import closed_tuples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,6 +35,20 @@ def long_thin_context():
         [("a", [f"o{i}" for i in range(1500)]), ("b", "xy")],
         [(f"o{i}", "x") for i in range(6)],
     )
+
+
+def check_raw_enumerator(ctx):
+    """``closed_tuples`` on ctx and on its slice at every element of every
+    dimension yields each concept once, and exactly the oracle's concepts."""
+    runs = [(ctx, ctx._search_input())]
+    if ctx.arity > 1:
+        for i, d in enumerate(ctx.dims):
+            for x, label in enumerate(d.elements):
+                runs.append((ctx.slice(d.index, label), ctx._search_input(i, x)))
+    for sub, search_input in runs:
+        raw = list(closed_tuples(*search_input))
+        assert len(raw) == len(set(raw)), sub
+        assert set(raw) == {sub.sort_key(t) for t in brute_force_concepts(sub)}, sub
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from conftest import FIXTURES, box, long_thin_context
 
-from polyconcept import ConceptSet, cli, serialize_tuples
+from polyconcept import ConceptSet, cli, generate_random, serialize_tuples
+from polyconcept.context import MAX_ARITY
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -251,6 +252,21 @@ def test_introducer_commands_need_two_dimensions(tmp_path):
     # concepts and order take the same file
     assert run_cli("concepts", str(f)).stdout == "(xy)\n"
     assert run_cli("order", str(f), "--dim", "1").returncode == 0
+
+
+def test_search_commands_refuse_too_many_dimensions(tmp_path):
+    # 1,100 dimensions of one element each: a search nested that deep would
+    # overflow the interpreter's stack, and its traceback would exit with
+    # status 1, which means a failed verification.
+    f = tmp_path / "wide.tsv"
+    f.write_text(serialize_tuples(generate_random((1,) * 1100, 1.0, 1)), encoding="utf-8")
+    for command in ("concepts", "introducers"):
+        res = run_cli(command, str(f))
+        assert res.returncode == 2, command
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"error: concept search takes at most {MAX_ARITY} dimensions, got 1100\n"
+        )
 
 
 def test_cross_table_with_byte_order_mark(tmp_path):

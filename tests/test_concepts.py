@@ -5,6 +5,7 @@ import math
 import pytest
 
 from polyconcept import (
+    ArityError,
     ConceptLimitError,
     ConceptSet,
     InputError,
@@ -24,9 +25,11 @@ from conftest import (
     FIG1_CONCEPTS,
     FIG3_CONCEPTS,
     box,
+    check_raw_enumerator,
     long_thin_context,
     sweep_contexts,
 )
+from polyconcept.context import MAX_ARITY
 
 
 def test_fig3_lists_exactly_seven(fig3):
@@ -110,8 +113,9 @@ def test_unsorted_shapes_agree_with_oracles(shape, density):
 
 def test_long_dimension_does_not_exhaust_recursion():
     # 1500 x 2 with six crosses: the search keeps its nodes on an explicit
-    # stack and recurses only once per dimension; a search whose depth grows
-    # with the element count overflows the interpreter's stack here.
+    # stack and nests only once per dimension above two, so not at all here;
+    # a search whose depth grows with the element count overflows the
+    # interpreter's stack here.
     found = enumerate_concepts(long_thin_context())
     assert len(found) == 3
     assert [len(c) for c in found[0].components] == [0, 2]
@@ -126,6 +130,8 @@ def test_long_dimension_does_not_exhaust_recursion():
         ((5, 5, 5, 5), 0.6, 757, 757),
         ((200, 12), 0.3, 457, 179),
         ((12, 200), 0.3, 515, 181),
+        ((40, 40), 0.4, 4549, 80),
+        ((6, 6, 6, 6), 0.5, 1139, 1139),
     ],
 )
 def test_formerly_slow_shapes(shape, density, n_concepts, n_records):
@@ -135,6 +141,28 @@ def test_formerly_slow_shapes(shape, density, n_concepts, n_records):
     ctx = generate_random(shape, density, 1)
     assert len(enumerate_concepts(ctx)) == n_concepts
     assert len(introducers(ctx)) == n_records
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (9, 7), (4, 4, 4), (3, 5, 4), (2, 2, 2, 5)])
+def test_raw_enumerator_on_longer_dimensions(shape):
+    # Up to nine elements per dimension, so a candidate j has up to eight
+    # rows below it for the canonicity test and rows above it for the
+    # closure; the property test's dimensions stop at three elements.
+    for density in (0.2, 0.5, 0.8):
+        for seed in range(10):
+            check_raw_enumerator(generate_random(shape, density, seed))
+
+
+def test_arity_bound():
+    # The nested search opens a generator per dimension: at MAX_ARITY
+    # dimensions they still fit on the interpreter's stack under pytest,
+    # and one more dimension is refused on both routes.
+    deepest = generate_random((1,) * MAX_ARITY, 1.0, 1)
+    assert [len(c) for c in enumerate_concepts(deepest)[0].components] == [1] * MAX_ARITY
+    wider = generate_random((1,) * (MAX_ARITY + 1), 1.0, 1)
+    for route in (enumerate_concepts, introducers):
+        with pytest.raises(ArityError, match=f"at most {MAX_ARITY} dimensions"):
+            route(wider)
 
 
 def test_every_concept_is_a_closure_fixpoint(fig3):

@@ -25,8 +25,9 @@ from polyconcept import (
     parse_context,
     serialize_tuples,
 )
-from polyconcept.concepts import closed_tuples
 from polyconcept.context import check_dimension_name, check_label
+
+from conftest import check_raw_enumerator
 
 PROPERTY = settings(
     max_examples=100,
@@ -143,16 +144,7 @@ def test_permuting_dimensions_permutes_results(ctx, data):
 @PROPERTY
 @given(contexts())
 def test_raw_enumerator_yields_each_concept_once(ctx):
-    # the context itself, then the slice at every element of every dimension
-    runs = [(ctx, ctx._search_input())]
-    if ctx.arity > 1:
-        for i, d in enumerate(ctx.dims):
-            for x, label in enumerate(d.elements):
-                runs.append((ctx.slice(d.index, label), ctx._search_input(i, x)))
-    for sub, search_input in runs:
-        raw = list(closed_tuples(*search_input))
-        assert len(raw) == len(set(raw))
-        assert set(raw) == {sub.sort_key(t) for t in brute_force_concepts(sub)}
+    check_raw_enumerator(ctx)
 
 
 @PROPERTY
