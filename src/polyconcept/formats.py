@@ -1,5 +1,10 @@
 """Text formats and the reproducible random context generator.
 
+Lines end at '\\n', '\\r\\n' or '\\r' only; other characters that some
+readers treat as line breaks stay inside their line.  Both parsers read a
+file in one pass, so a file with several faults is reported at its earliest
+faulty line.
+
 Tuple files
     Optional comment lines start with '#'.  Optional header lines, one per
     dimension in order, pin the dimension name and element order::
@@ -9,7 +14,7 @@ Tuple files
 
     Every other non-blank line is one relation tuple, fields separated by a
     tab or a comma (detected from the first body line and fixed for the
-    file); a file with no separator in its body lines is 1-dimensional.
+    file); a file whose first body line has no separator is 1-dimensional.
     Without a header, dimensions are named dim1..dimn and elements are
     ordered by first appearance.  Duplicate tuples collapse silently.
 
@@ -63,14 +68,15 @@ class ParseError(ValueError):
 # -- parsing -----------------------------------------------------------------
 
 
-def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Content lines with their 1-based numbers, after one leading byte-order
-    mark; blank lines and '#' comment lines are skipped."""
-    lines = text.removeprefix("\ufeff").splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            yield line_no, raw
+def _numbered_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """Content lines as (1-based number, raw line, stripped line), after one
+    leading byte-order mark; lines end at '\\n', '\\r\\n' or '\\r' only, and
+    blank lines and '#' comment lines are skipped."""
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield line_no, raw, line
 
 
 def _checked(label: str, line_no: int) -> str:
@@ -81,80 +87,63 @@ def _checked(label: str, line_no: int) -> str:
         raise ParseError(str(exc), line_no) from None
 
 
-def _split_line(raw: str, sep: str | None, line_no: int) -> list[str]:
-    fields = [f.strip() for f in (raw.split(sep) if sep else [raw.strip()])]
-    if not all(fields):
-        raise ParseError("empty field", line_no)
-    return fields
+def _separator(raw: str) -> str | None:
+    """The field separator a file's first row fixes: tab, else comma."""
+    return "\t" if "\t" in raw else ("," if "," in raw else None)
+
+
+def _fields(raw: str, sep: str) -> list[str]:
+    return [f.strip() for f in raw.split(sep)]
 
 
 def parse_tuples(text: str) -> NContext:
-    """Parse a tuple file into a context."""
-    headers: list[tuple[str, tuple[str, ...], int]] = []
-    body: list[tuple[int, str]] = []
-    seen_body = False
-    for line_no, raw in _numbered_lines(text):
-        stripped = raw.strip()
-        if stripped.startswith("!"):
-            if seen_body:
+    """Parse a tuple file into a context, one line at a time."""
+    dims: list[Dimension] = []  # from the header lines
+    lookup: list[dict[str, int]] = []  # label -> position, per dimension
+    relation: list[tuple[int, ...]] = []
+    sep = arity = None  # fixed by the first body line
+    for line_no, raw, line in _numbered_lines(text):
+        if line[0] == "!":
+            if arity is not None:
                 raise ParseError("header line after body lines", line_no)
-            head, colon, tail = stripped[1:].partition(":")
+            head, colon, tail = line[1:].partition(":")
             if not colon:
                 raise ParseError("header must look like '! name: e1 e2 ...'", line_no)
-            headers.append((head.strip(), tuple(tail.split()), line_no))
-            continue
-        seen_body = True
-        body.append((line_no, raw))
-
-    dims: list[Dimension] | None = None
-    if headers:
-        dims = []
-        for k, (name, elements, ln) in enumerate(headers):
             try:
-                dims.append(Dimension(k + 1, name, elements))
+                dims.append(Dimension(len(dims) + 1, head.strip(), tuple(tail.split())))
             except InputError as exc:
-                raise ParseError(str(exc), ln) from None
-    elif not body:
-        raise ParseError("empty input: no header and no tuples", 1)
-
-    sep: str | None = None
-    if body:
-        first = body[0][1]
-        sep = "\t" if "\t" in first else ("," if "," in first else None)
-
-    arity = len(dims) if dims else None
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, raw in body:
-        fields = _split_line(raw, sep, line_no)
+                raise ParseError(str(exc), line_no) from None
+            continue
         if arity is None:
-            arity = len(fields)
-        elif len(fields) != arity:
-            raise ParseError(
-                f"expected {arity} fields, got {len(fields)}", line_no
-            )
-        rows.append((line_no, fields))
-
-    if dims is None:
-        order: list[dict[str, None]] = [dict() for _ in range(arity)]
-        for line_no, fields in rows:
-            for seen, lb in zip(order, fields):
-                if lb not in seen:
-                    seen[_checked(lb, line_no)] = None
-        dims = [
-            Dimension(k + 1, f"dim{k + 1}", tuple(seen))
-            for k, seen in enumerate(order)
-        ]
-
-    lookup = [d._pos for d in dims]
-    relation = []
-    for line_no, fields in rows:
+            sep = _separator(raw)
+        fields = _fields(raw, sep) if sep else [line]
+        if not all(fields):
+            raise ParseError("empty field", line_no)
+        if arity is None:
+            arity = len(dims) if dims else len(fields)
+            lookup = [d._pos for d in dims] if dims else [{} for _ in fields]
+        if len(fields) != arity:
+            raise ParseError(f"expected {arity} fields, got {len(fields)}", line_no)
         try:
             relation.append(tuple(map(getitem, lookup, fields)))
         except KeyError:
-            d, lb = next((d, lb) for d, lb in zip(dims, fields) if lb not in d)
-            raise ParseError(
-                f"element {lb!r} is not declared in dimension {d.name!r}", line_no
-            ) from None
+            if dims:
+                d, lb = next((d, lb) for d, lb in zip(dims, fields) if lb not in d)
+                raise ParseError(
+                    f"element {lb!r} is not declared in dimension {d.name!r}", line_no
+                ) from None
+            for seen, lb in zip(lookup, fields):  # first appearances
+                if lb not in seen:
+                    seen[_checked(lb, line_no)] = len(seen)
+            relation.append(tuple(map(getitem, lookup, fields)))
+
+    if not dims:
+        if arity is None:
+            raise ParseError("empty input: no header and no tuples", 1)
+        dims = [
+            Dimension(k + 1, f"dim{k + 1}", tuple(seen))
+            for k, seen in enumerate(lookup)
+        ]
     try:
         return NContext._of_indices(dims, relation)
     except InputError as exc:
@@ -166,18 +155,22 @@ def parse_cross_table(text: str) -> NContext:
     lines = list(_numbered_lines(text))
     if not lines:
         raise ParseError("empty cross table", 1)
-    head_no, head = lines[0]
-    sep = "\t" if "\t" in head else ("," if "," in head else None)
+    head_no, head, _ = lines[0]
+    sep = _separator(head)
     if sep is None:
         raise ParseError("a cross table needs tab- or comma-separated columns", head_no)
-    header = [f.strip() for f in head.split(sep)]
+    header = _fields(head, sep)
     attrs = header[1:]
     if any(not a for a in attrs):
         raise ParseError("empty attribute label", head_no)
+    try:
+        attributes = Dimension(2, "attributes", tuple(attrs))
+    except InputError as exc:
+        raise ParseError(str(exc), head_no) from None
     objects: dict[str, None] = {}
     relation: list[tuple[int, int]] = []
-    for line_no, raw in lines[1:]:
-        fields = [f.strip() for f in raw.split(sep)]
+    for line_no, raw, _ in lines[1:]:
+        fields = _fields(raw, sep)
         if len(fields) != len(header):
             raise ParseError(
                 f"expected {len(header)} columns, got {len(fields)}", line_no
@@ -197,17 +190,13 @@ def parse_cross_table(text: str) -> NContext:
                 raise ParseError(
                     f"cell must be 'x', '×', or empty, got {cell!r}", line_no
                 )
-    try:
-        attributes = Dimension(2, "attributes", tuple(attrs))
-    except InputError as exc:
-        raise ParseError(str(exc), head_no) from None
     return NContext._of_indices([Dimension(1, "objects", tuple(objects)), attributes], relation)
 
 
 def parse_context(text: str) -> NContext:
     """Parse either format: cross table when the first content line starts
     with a separator (empty corner cell), tuple file otherwise."""
-    for _, raw in _numbered_lines(text):
+    for _, raw, _ in _numbered_lines(text):
         if raw.startswith(("\t", ",")):
             return parse_cross_table(text)
         return parse_tuples(text)
@@ -252,6 +241,13 @@ def format_record(ctx: NContext, record: IntroducerRecord) -> str:
     return f"{format_concept(ctx, record.concept)} {_format_introduces(ctx, record)}"
 
 
+def _format_member(ctx: NContext, member) -> str:
+    """A diagram member on one line: a record with its annotations, or a concept."""
+    if isinstance(member, IntroducerRecord):
+        return format_record(ctx, member)
+    return format_concept(ctx, member)
+
+
 def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     """Render concepts or introducer records, one per line, canonical order.
 
@@ -260,19 +256,11 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "structured"):
         raise InputError(f"unknown format {fmt!r}")
-    if isinstance(items, ConceptSet):
-        members = list(items)
-    else:
-        members = sorted(
-            items,
-            key=lambda m: ctx.sort_key(
-                m.concept if isinstance(m, IntroducerRecord) else m
-            ),
-        )
+    pairs = [(m.concept, m) if isinstance(m, IntroducerRecord) else (m, None) for m in items]
+    if not isinstance(items, ConceptSet):
+        pairs.sort(key=lambda pair: ctx.sort_key(pair[0]))
     lines = []
-    for m in members:
-        record = m if isinstance(m, IntroducerRecord) else None
-        t = record.concept if record else m
+    for t, record in pairs:
         if fmt == "text":
             line = format_concept(ctx, t)
             if record:
@@ -301,13 +289,7 @@ def export_dot(ctx: NContext, diagram: DimensionDiagram, name: str = "diagram") 
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for k, node in enumerate(diagram.nodes):
-        label_lines = []
-        for m in node.members:
-            if isinstance(m, IntroducerRecord):
-                label_lines.append(format_record(ctx, m))
-            else:
-                label_lines.append(format_concept(ctx, m))
-        label = _dot_escape("\n".join(label_lines)).replace("\n", "\\n")
+        label = "\\n".join(_dot_escape(_format_member(ctx, m)) for m in node.members)
         lines.append(f'  n{k} [label="{label}"];')
     for lo, hi in diagram.edges:
         lines.append(f"  n{lo} -> n{hi};")

@@ -137,6 +137,15 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     assert res.stderr.count("\n") == 1
 
 
+def test_break_character_in_comment_is_ignored(tmp_path):
+    plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+    plain.write_text("b,x\nc,y\n", encoding="utf-8")
+    noted.write_text("# caf\u2028e notes\nb,x\nc,y\n", encoding="utf-8")
+    res = run_cli("concepts", str(noted))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli("concepts", str(plain)).stdout
+
+
 def test_help_lists_every_command():
     res = run_cli("--help")
     assert res.returncode == 0

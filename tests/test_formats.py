@@ -1,5 +1,8 @@
 """Parsers, serializers, DOT export, and the seeded generator."""
 
+import itertools
+import random
+
 import pytest
 
 from polyconcept import (
@@ -109,6 +112,126 @@ class TestParseTuples:
         with pytest.raises(ParseError) as err:
             parse_tuples(text)
         assert err.value.line == 3
+
+    def test_first_body_line_split_before_stripping(self):
+        with pytest.raises(ParseError) as err:
+            parse_tuples("\tb1\nx\tb1\n")
+        assert str(err.value) == "line 1: empty field"
+
+
+class TestLineEnds:
+    """Lines end at '\\n', '\\r\\n' or '\\r' and at no other character."""
+
+    def test_paragraph_separator_in_comment_is_ignored(self):
+        text = "# caf\u2028e notes\nb,x\nc,y\n"
+        assert parse_tuples(text) == parse_tuples("b,x\nc,y\n")
+
+    def test_form_feed_in_comment_keeps_line_numbers(self):
+        with pytest.raises(ParseError) as err:
+            parse_tuples("# page\x0c\nb,x\nc,!z\n")
+        assert str(err.value) == "line 3: label '!z' may not start with '!'"
+
+    def test_vertical_tab_in_field_is_one_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_tuples("! d1: a b\n! d2: x\na\tx\x0bb\tx\n")
+        assert str(err.value) == "line 3: expected 2 fields, got 3"
+
+    @pytest.mark.parametrize("ch", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    def test_other_break_characters_stay_in_their_line(self, ch):
+        assert parse_tuples(f"# a{ch}b\na,x\n") == parse_tuples("a,x\n")
+        with pytest.raises(ParseError) as err:
+            parse_tuples(f"a,x\nb,y{ch}z\nc,x\n")
+        assert str(err.value) == (
+            f"line 2: label {'y' + ch + 'z'!r} contains whitespace or a comma"
+        )
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_text_parse_as_lf_text(self, end):
+        for text in (FIG3_TUPLE_TEXT, FIG1_TUPLE_TEXT, "# note\n\na,x\nb,y\n"):
+            assert parse_tuples(text.replace("\n", end)) == parse_tuples(text)
+        assert parse_cross_table(FIG1_TABLE_TEXT.replace("\n", end)) == parse_cross_table(
+            FIG1_TABLE_TEXT
+        )
+        with pytest.raises(ParseError) as err:
+            parse_tuples(f"a,x{end}{end}b,!y{end}")
+        assert err.value.line == 3
+
+
+FAULTS = ["empty field", "extra field", "bang", "header", "undeclared"]
+
+
+def _fault(kind, line, headers, rng):
+    """``line`` with one fault of ``kind``, and the message the fault earns."""
+    if kind == "header":
+        return "! late: a1", "header line after body lines"
+    fields = line.split("\t")
+    if kind == "extra field":
+        return line + "\ta1", f"expected {len(fields)} fields, got {len(fields) + 1}"
+    j = rng.randrange(1, len(fields))  # a first field starting with '!' makes a header
+    if kind == "empty field":
+        fields[j], message = "", "empty field"
+    else:
+        fields[j] = bad = "zz" if kind == "undeclared" else "!" + fields[j]
+        message = (
+            f"element {bad!r} is not declared in dimension 'dim{j + 1}'"
+            if headers
+            else f"label {bad!r} may not start with '!'"
+        )
+    return "\t".join(fields), message
+
+
+def _faulty_files(seed, n_faults):
+    """Generated tuple files, with and without headers, with ``n_faults``
+    faults on distinct body lines: (text, line and message of the earliest)."""
+    rng = random.Random(seed)
+    for shape in [(2, 3), (3, 2, 2), (2, 2, 2, 2)]:
+        ctx = generate_random(shape, 0.7, seed)
+        if ctx.relation_size <= n_faults:
+            continue
+        for headers in (True, False):
+            lines = serialize_tuples(ctx).splitlines()[0 if headers else ctx.arity :]
+            first = ctx.arity if headers else 0  # the first body line
+            # Without headers an unknown label is a new element, not a fault.
+            faults = FAULTS if headers else FAULTS[:-1]
+            for kinds in itertools.product(faults, repeat=n_faults):
+                # On the first body line a header, or an extra field in a file
+                # without headers, declares the file's shape: it is no fault.
+                late = kinds[0] == "header" or (kinds[0] == "extra field" and not headers)
+                at = sorted(rng.sample(range(first + late, len(lines)), n_faults))
+                faulty, errors = lines[:], []
+                for k, kind in zip(at, kinds):
+                    faulty[k], message = _fault(kind, faulty[k], headers, rng)
+                    errors.append((k + 1, message))
+                yield "\n".join(faulty) + "\n", *errors[0]
+
+
+class TestErrorRule:
+    """Each fault is reported at its line; of several, the earliest is."""
+
+    @pytest.mark.parametrize("n_faults", [1, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_earliest_fault_reported(self, seed, n_faults):
+        for text, line_no, message in _faulty_files(seed, n_faults):
+            with pytest.raises(ParseError) as err:
+                parse_tuples(text)
+            assert err.value.line == line_no
+            assert str(err.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("a,x\nb,!y\nc,x,z\n", "line 2: label '!y' may not start with '!'"),
+         ("! d1: a a\nx\n! d2: b\n", "line 1: dimension 'd1' declares element 'a' twice"),
+         ("a,x\nb,y z\n! d: a\n", "line 2: label 'y z' contains whitespace or a comma")],
+    )
+    def test_earliest_fault_examples(self, text, error):
+        with pytest.raises(ParseError) as err:
+            parse_tuples(text)
+        assert str(err.value) == error
+
+    def test_cross_table_attribute_fault_before_later_rows(self):
+        with pytest.raises(ParseError) as err:
+            parse_cross_table(",a,a\n1,x\n")
+        assert str(err.value) == "line 1: dimension 'attributes' declares element 'a' twice"
 
 
 class TestParseCrossTable:

@@ -83,6 +83,20 @@ def test_tuple_file_round_trip(ctx):
 
 
 @PROPERTY
+@given(contexts().filter(lambda ctx: ctx.relation_size))
+def test_tuple_file_without_headers(ctx):
+    body = [l for l in serialize_tuples(ctx).splitlines(True) if not l.startswith("!")]
+    # One leading byte-order mark is dropped, so a first label may start with one.
+    parsed = parse_context("\ufeff" + "".join(body))
+    assert [d.name for d in parsed.dims] == [f"dim{k + 1}" for k in range(ctx.arity)]
+    tuples = ctx.tuples()
+    assert [d.elements for d in parsed.dims] == [
+        tuple(dict.fromkeys(t[k] for t in tuples)) for k in range(ctx.arity)
+    ]
+    assert set(parsed.tuples()) == set(tuples)
+
+
+@PROPERTY
 @given(contexts())
 def test_enumerator_equals_oracle(ctx):
     assert enumerate_concepts(ctx).concepts == brute_force_concepts(ctx).concepts
