@@ -163,85 +163,65 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _verdict(failure, note: str = "") -> str:
+    """A check's status: ``FAIL`` and the failure if there is one, else
+    ``ok`` and the note if there is one."""
+    if failure:
+        return f"FAIL {failure}"
+    return f"ok ({note})" if note else "ok"
+
+
 def cmd_verify(args) -> int:
     ctx = _load(args.input)
     cap = _oracle_cap(args)
-    failures = 0
-    lines = []
-
     found = enumerate_concepts(ctx)
     records = introducers(ctx)
-    feasible = oracle_cost(ctx) <= cap
+    cost = oracle_cost(ctx)
+    table = {}  # check -> "ok ...", "FAIL ..." or "skipped (...)", in report order
 
-    if feasible:
+    if cost <= cap:
         reference = brute_force_concepts(ctx, cap=cap)
-        if found == reference:
-            lines.append(f"concept oracle: ok ({len(found)} concepts)")
-        else:
-            failures += 1
-            missing = [t for t in reference if t not in found]
-            extra = [t for t in found if t not in reference]
-            lines.append(
-                "concept oracle: FAIL missing="
-                + str([format_concept(ctx, t) for t in missing])
-                + " extra="
-                + str([format_concept(ctx, t) for t in extra])
-            )
+        failure = None
+        if found != reference:
+            missing = [format_concept(ctx, t) for t in reference if t not in found]
+            extra = [format_concept(ctx, t) for t in found if t not in reference]
+            failure = f"missing={missing} extra={extra}"
+        table["concept oracle"] = _verdict(failure, f"{len(found)} concepts")
         oracle_records = _oracle_records(ctx, reference)  # = introducer_oracle(ctx)
-        if set(oracle_records) == set(records):
-            lines.append(f"introducer oracle: ok ({len(records)} records)")
-        else:
-            failures += 1
-            diff = set(oracle_records) ^ set(records)
-            witness = sorted(str(r) for r in diff)
-            lines.append(f"introducer oracle: FAIL disagreement={witness}")
+        diff = set(oracle_records) ^ set(records)
+        witness = diff and f"disagreement={sorted(str(r) for r in diff)}"
+        table["introducer oracle"] = _verdict(witness, f"{len(records)} records")
     else:
-        lines.append(
-            f"concept oracle: skipped (oracle infeasible: {oracle_cost(ctx)} "
-            f"combinations exceed cap {cap})"
+        table["concept oracle"] = (
+            f"skipped (oracle infeasible: {cost} combinations exceed cap {cap})"
         )
-        lines.append("introducer oracle: skipped (oracle infeasible)")
+        table["introducer oracle"] = "skipped (oracle infeasible)"
 
     report = check_n_ordered(records)
     for axiom, violations in (
         ("uniqueness", report.uniqueness_violations),
         ("antiordinal", report.antiordinal_violations),
     ):
-        if not violations:
-            lines.append(f"{axiom} axiom: ok")
-        else:
-            failures += 1
-            pairs = [(str(a), str(b)) for a, b in violations]
-            lines.append(f"{axiom} axiom: FAIL {pairs}")
+        table[f"{axiom} axiom"] = _verdict([(str(a), str(b)) for a, b in violations])
 
-    stray = [r for r in records if r.concept not in found]
-    if not stray:
-        lines.append(f"soundness: ok ({len(records)} of {len(records)} records are concepts)")
-    else:
-        failures += 1
-        lines.append(
-            "soundness: FAIL strays="
-            + str([format_concept(ctx, r.concept) for r in stray])
-        )
+    strays = [format_concept(ctx, r.concept) for r in records if r.concept not in found]
+    sound = f"{len(records)} of {len(records)} records are concepts"
+    table["soundness"] = _verdict(strays and f"strays={strays}", sound)
 
     count_fails = []
     _, per_element = _introduction_counts(records)
     for d in ctx.dims:
         for x in d.elements:
-            introduced_here = per_element[d.index, x]
             expected = len(enumerate_concepts(ctx.slice(d.index, x)))
-            if introduced_here != expected:
-                count_fails.append(f"{d.name}/{x}: {introduced_here} != {expected}")
+            if per_element[d.index, x] != expected:
+                count_fails.append(f"{d.name}/{x}: {per_element[d.index, x]} != {expected}")
     n_elements = sum(len(d) for d in ctx.dims)
-    if not count_fails:
-        lines.append(f"introduction counts: ok ({n_elements} elements)")
-    else:
-        failures += 1
-        lines.append("introduction counts: FAIL " + "; ".join(count_fails))
+    table["introduction counts"] = _verdict("; ".join(count_fails), f"{n_elements} elements")
 
-    lines.append("result: " + ("pass" if failures == 0 else f"fail ({failures})"))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+    failures = sum(status.startswith("FAIL") for status in table.values())
+    table["result"] = f"fail ({failures})" if failures else "pass"
+    sys.stdout.write("".join(f"{name}: {status}\n" for name, status in table.items()))
+    return 1 if failures else 0
 
 
 def cmd_gen(args) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from operator import ge, getitem, mul
+from operator import ge, getitem, index, mul
 from typing import Iterable, Sequence
 
 MAX_ARITY = 500  # the concept search nests one generator per dimension
@@ -39,13 +39,14 @@ def check_label(label: str) -> str:
 
     Labels are arbitrary non-empty unicode strings without whitespace or
     commas (both act as field separators in the text formats) and may not
-    start with '#' or '!' (reserved line markers).
+    start with '#' or '!' (reserved line markers) or U+FEFF (a text's
+    byte-order mark).
     """
     if not isinstance(label, str) or not label:
         raise InputError(f"labels must be non-empty strings, got {label!r}")
     if any(ch.isspace() for ch in label) or "," in label:
         raise InputError(f"label {label!r} contains whitespace or a comma")
-    if label[0] in "#!":
+    if label[0] in "#!\ufeff":
         raise InputError(f"label {label!r} may not start with {label[0]!r}")
     return label
 
@@ -292,7 +293,10 @@ class NContext:
                 if d.name == selector:
                     return k
             raise InputError(f"unknown dimension name {selector!r}")
-        i = int(selector)
+        try:
+            i = index(selector)
+        except TypeError:
+            raise InputError(f"not a dimension name or index: {selector!r}") from None
         if not 1 <= i <= self._arity:
             raise InputError(
                 f"dimension index {i} out of range 1..{self._arity}"

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour via real subprocesses, plus in-process
 checks of failures that a subprocess cannot provoke and of argument parsing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import sys
 from pathlib import Path
 
 from conftest import FIXTURES, box, long_thin_context
+from test_acceptance import CLI_INVOCATIONS
 
-from polyconcept import ConceptSet, cli, generate_random, serialize_tuples
+from polyconcept import ConceptSet, IntroducerRecord, cli, generate_random, serialize_tuples
 from polyconcept.context import MAX_ARITY
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -225,10 +227,28 @@ def test_verify_failure_is_exit_1(monkeypatch, capsys):
         "concept oracle: FAIL missing=['(α, 1, ab)', '(β, 3, ac)'] "
         "extra=['(α, 1, a)', '(β, 13, a)']"
     )
-    assert lines[1].startswith("introducer oracle: FAIL disagreement=")
+    assert lines[1] == (
+        "introducer oracle: FAIL disagreement=['(∅, 1 2 3, a b c) introduces 2: 1 2 3; 3: b c']"
+    )
     assert lines[4] == "soundness: FAIL strays=['(α, 1, ab)', '(β, 3, ac)']"
-    assert lines[5].startswith("introduction counts: FAIL dim2/1: ")
+    assert lines[5] == (
+        "introduction counts: FAIL dim2/1: 2 != 3; dim2/2: 2 != 3; dim2/3: 2 != 3; "
+        "dim3/b: 2 != 3; dim3/c: 2 != 3"
+    )
     assert lines[-1] == "result: fail (4)"
+
+
+def test_verify_one_failure_is_exit_1(monkeypatch, capsys):
+    # The introducer oracle loses one record; every other check passes.
+    oracle_records = cli._oracle_records
+    monkeypatch.setattr(cli, "_oracle_records", lambda ctx, ref: oracle_records(ctx, ref)[1:])
+    assert cli.main(["verify", FIG3_TSV]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (
+        "introducer oracle: FAIL disagreement=['(∅, 1 2 3, a b c) introduces 2: 1 2 3; 3: b c']"
+    )
+    assert [line for line in lines if ": FAIL " in line] == [lines[1]]
+    assert lines[-1] == "result: fail (1)"
 
 
 def test_verify_uniqueness_failure_is_exit_1(monkeypatch, capsys):
@@ -245,8 +265,29 @@ def test_verify_uniqueness_failure_is_exit_1(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "uniqueness axiom: FAIL [('(∅, 1 2 3, a b c)', '(∅, 1 2 3, a b c)')]"
     assert lines[3] == "antiordinal axiom: ok"
-    assert lines[5].startswith("introduction counts: FAIL dim2/1: 4 != 3")
+    assert lines[5] == (
+        "introduction counts: FAIL dim2/1: 4 != 3; dim2/2: 4 != 3; dim2/3: 4 != 3; "
+        "dim3/b: 4 != 3; dim3/c: 4 != 3"
+    )
     assert lines[-1] == "result: fail (2)"
+
+
+def test_verify_antiordinal_failure_is_exit_1(monkeypatch, capsys):
+    # A full box that is not maximal: (αβ, 1, a) lies below the concept
+    # (αβ, 13, a) in dimension 2 and equals it in the others.  It breaks the
+    # antiordinal axiom alone of the two, and is neither a concept nor an
+    # introducer.
+    introducers = cli.introducers
+    stray = IntroducerRecord(box("αβ", "1", "a"), ())
+    monkeypatch.setattr(cli, "introducers", lambda ctx: introducers(ctx) + (stray,))
+    assert cli.main(["verify", FIG3_TSV]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "introducer oracle: FAIL disagreement=['(α β, 1, a) introduces ']"
+    assert lines[2] == "uniqueness axiom: ok"
+    assert lines[3] == "antiordinal axiom: FAIL [('(α β, 1, a)', '(α β, 1 3, a)')]"
+    assert lines[4] == "soundness: FAIL strays=['(αβ, 1, a)']"
+    assert lines[5] == "introduction counts: ok (8 elements)"
+    assert lines[-1] == "result: fail (3)"
 
 
 def test_introducer_commands_need_two_dimensions(tmp_path):
@@ -374,7 +415,33 @@ def test_verify_rejects_negative_cap():
         assert res.stderr.count("\n") == 1
     res = run_cli("verify", FIG3_TSV, "--cap", "0")
     assert res.returncode == 0
-    assert "concept oracle: skipped" in res.stdout
+    assert res.stdout.splitlines()[:2] == [
+        "concept oracle: skipped (oracle infeasible: 32 combinations exceed cap 0)",
+        "introducer oracle: skipped (oracle infeasible)",
+    ]
+
+
+# SHA-256 over argv (file names only), exit status and stdout of in-process
+# runs: the acceptance module's CLI_INVOCATIONS, `verify --cap 0`, and five
+# commands on each of five generated files of arity 1 to 4.  Standard error,
+# which holds counts and timings, is left out.  A change that alters output
+# on purpose updates this digest.
+CLI_DIGEST = "d405783ce2b3f9130cb082cc93f2776c9ecba7054296e56cd573f69608870f4d"
+GENERATED = [((7,), 0.5), ((4, 5), 0.4), ((3, 3, 3), 0.5), ((2, 3, 4), 0.6), ((2, 2, 2, 3), 0.7)]
+
+
+def test_cli_outputs_are_identical(tmp_path, capsys):
+    argvs = [list(argv) for argv in CLI_INVOCATIONS] + [["verify", FIG3_TSV, "--cap", "0"]]
+    for seed, (sizes, density) in enumerate(GENERATED):
+        f = tmp_path / f"gen{seed}.tsv"
+        f.write_text(serialize_tuples(generate_random(sizes, density, seed)), encoding="utf-8")
+        commands = (["concepts"], ["introducers"], ["order", "--dim", "1"], ["stats"], ["verify"])
+        argvs += [[command, str(f), *extra] for command, *extra in commands]
+    h = hashlib.sha256()
+    for argv in argvs:
+        status, out, _ = _outcome(argv, capsys)
+        h.update((repr(([os.path.basename(a) for a in argv], status, out)) + "\n").encode())
+    assert h.hexdigest() == CLI_DIGEST
 
 
 def test_gen_writes_tuple_file():

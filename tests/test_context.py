@@ -20,6 +20,7 @@ from polyconcept import (
     enumerate_concepts,
     export_dot,
     generate_random,
+    introducer_dim,
     introducers,
     serialize_concepts,
 )
@@ -32,7 +33,7 @@ class TestConstruction:
         with pytest.raises(InputError):
             Dimension(1, "d", ("a", "b", "a"))
 
-    @pytest.mark.parametrize("bad", ["", "a b", "x,y", "#lead", "!lead", "a\tb"])
+    @pytest.mark.parametrize("bad", ["", "a b", "x,y", "#lead", "!lead", "a\tb", "\ufeffa"])
     def test_dimension_rejects_bad_labels(self, bad):
         with pytest.raises(InputError):
             Dimension(1, "d", ("ok", bad))
@@ -116,6 +117,24 @@ class TestSlice:
         one = fig3.slice(1, "α").slice(1, "1")
         with pytest.raises(ArityError):
             one.slice(1, "a")
+
+    def test_non_integral_selector_is_refused(self, fig3):
+        records = introducers(fig3)
+        calls = [
+            lambda s: fig3.dim(s),
+            lambda s: fig3.slice(s, "α"),
+            lambda s: introducer_dim(fig3, s),
+            lambda s: dimension_diagram(fig3, records, s),
+        ]
+        # introducer_dim(ctx, None) stands for every dimension
+        cases = [(call, s) for call in calls for s in (2.7, 1.9, 1.2, 2.0)]
+        cases += [(call, None) for call in calls if call is not calls[2]]
+        for call, selector in cases:
+            with pytest.raises(InputError) as err:
+                call(selector)
+            assert str(err.value) == f"not a dimension name or index: {selector!r}"
+        assert fig3.dim(2) == fig3.dim("dim2")
+        assert introducer_dim(fig3, "dim2") == introducer_dim(fig3, 2)
 
     def test_slice_preserves_cross_count(self):
         for seed in range(20):

@@ -287,6 +287,18 @@ class TestParseContext:
             assert parse_context(text) == plain
             assert parse_tuples(text) == plain
 
+    @pytest.mark.parametrize("text, error", [
+        ("\ufeff\ufeffa\tx\n", "line 1: label '\\ufeffa' may not start with '\\ufeff'"),
+        ("a\tx\n\ufeffb\ty\n", "line 2: label '\\ufeffb' may not start with '\\ufeff'"),
+        ("\ufeff\ufeff\tx\na\tx\n", "line 1: label '\\ufeff' may not start with '\\ufeff'"),
+    ])
+    def test_label_may_not_start_with_byte_order_mark(self, text, error):
+        # only the first U+FEFF of a text is its byte-order mark, and no
+        # label starts with one, so the first label keeps what it reads
+        with pytest.raises(ParseError) as err:
+            parse_context(text)
+        assert str(err.value) == error
+
     def test_detection_skips_comments(self):
         assert parse_context("# note\n,a\n1,x\n").dims[0].name == "objects"
 

@@ -86,7 +86,7 @@ def test_tuple_file_round_trip(ctx):
 @given(contexts().filter(lambda ctx: ctx.relation_size))
 def test_tuple_file_without_headers(ctx):
     body = [l for l in serialize_tuples(ctx).splitlines(True) if not l.startswith("!")]
-    # One leading byte-order mark is dropped, so a first label may start with one.
+    # One leading byte-order mark is dropped; no label starts with one.
     parsed = parse_context("\ufeff" + "".join(body))
     assert [d.name for d in parsed.dims] == [f"dim{k + 1}" for k in range(ctx.arity)]
     tuples = ctx.tuples()
