@@ -27,6 +27,7 @@ from .formats import (
     _format_member,
     export_dot,
     format_concept,
+    format_record,
     generate_random,
     parse_context,
     serialize_concepts,
@@ -187,10 +188,14 @@ def cmd_verify(args) -> int:
             extra = [format_concept(ctx, t) for t in found if t not in reference]
             failure = f"missing={missing} extra={extra}"
         table["concept oracle"] = _verdict(failure, f"{len(found)} concepts")
-        oracle_records = _oracle_records(ctx, reference)  # = introducer_oracle(ctx)
-        diff = set(oracle_records) ^ set(records)
-        witness = diff and f"disagreement={sorted(str(r) for r in diff)}"
-        table["introducer oracle"] = _verdict(witness, f"{len(records)} records")
+        # the same records as introducer_oracle(ctx), each copy counted
+        have, want = Counter(records), Counter(_oracle_records(ctx, reference))
+        failure = None
+        if have != want:
+            missing = [format_record(ctx, r) for r in (want - have).elements()]
+            extra = [format_record(ctx, r) for r in (have - want).elements()]
+            failure = f"missing={missing} extra={extra}"
+        table["introducer oracle"] = _verdict(failure, f"{len(records)} records")
     else:
         table["concept oracle"] = (
             f"skipped (oracle infeasible: {cost} combinations exceed cap {cap})"
@@ -202,7 +207,8 @@ def cmd_verify(args) -> int:
         ("uniqueness", report.uniqueness_violations),
         ("antiordinal", report.antiordinal_violations),
     ):
-        table[f"{axiom} axiom"] = _verdict([(str(a), str(b)) for a, b in violations])
+        pairs = [(format_concept(ctx, a), format_concept(ctx, b)) for a, b in violations]
+        table[f"{axiom} axiom"] = _verdict(pairs)
 
     strays = [format_concept(ctx, r.concept) for r in records if r.concept not in found]
     sound = f"{len(records)} of {len(records)} records are concepts"

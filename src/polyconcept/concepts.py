@@ -37,12 +37,18 @@ class ConceptSet:
 
     The order is lexicographic over components, each component compared as
     its tuple of element indices, so iteration is deterministic for a fixed
-    context no matter how the set was assembled.
+    context no matter how the set was assembled.  A set the library builds
+    holds its context and the sorted index keys, and labels its members on
+    the first read of ``concepts``, iteration or indexing; it builds the
+    ``frozenset`` of labelled members on the first ``in``, ``==`` or
+    ``hash``.  Its length needs no label, and two such sets over equal
+    dimensions compare by their keys.
     """
 
-    __slots__ = ("_concepts", "_as_set")
+    __slots__ = ("_ctx", "_keys", "_concepts", "_as_set")
 
     def __init__(self, concepts: tuple[ComponentTuple, ...]):
+        self._ctx = self._keys = None
         self._concepts = concepts
         self._as_set = frozenset(concepts)
 
@@ -54,40 +60,58 @@ class ConceptSet:
 
     @classmethod
     def _of_keys(cls, ctx: NContext, keys) -> "ConceptSet":
-        """Verify distinct index tuples, sort them and label each once."""
+        """Verify distinct index tuples and hold them sorted, unlabelled."""
         for pos in keys:
             if not ctx._is_concept_pos(pos):
                 raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
-        return cls(tuple(ctx._labelled(pos) for pos in sorted(keys)))
+        return cls._keyed(ctx, keys)
+
+    @classmethod
+    def _keyed(cls, ctx: NContext, keys) -> "ConceptSet":
+        """The set of distinct concepts of ctx given as index tuples, unchecked."""
+        self = object.__new__(cls)
+        self._ctx, self._keys = ctx, sorted(keys)
+        self._concepts = self._as_set = None
+        return self
 
     @property
     def concepts(self) -> tuple[ComponentTuple, ...]:
+        if self._concepts is None:
+            self._concepts = tuple(map(self._ctx._labelled, self._keys))
         return self._concepts
 
+    def _frozen(self) -> frozenset:
+        if self._as_set is None:
+            self._as_set = frozenset(self.concepts)
+        return self._as_set
+
     def __iter__(self) -> Iterator[ComponentTuple]:
-        return iter(self._concepts)
+        return iter(self.concepts)
 
     def __len__(self) -> int:
-        return len(self._concepts)
+        return len(self._concepts if self._keys is None else self._keys)
 
     def __contains__(self, t) -> bool:
-        return t in self._as_set
+        return t in self._frozen()
 
     def __getitem__(self, k) -> ComponentTuple:
-        return self._concepts[k]
+        return self.concepts[k]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ConceptSet):
-            return self._as_set == other._as_set
+            keyed = self._keys is not None and other._keys is not None
+            if keyed and self._ctx.dims == other._ctx.dims:
+                return self._keys == other._keys
+            return self._frozen() == other._frozen()
         if isinstance(other, (set, frozenset)):
-            return self._as_set == other
+            return self._frozen() == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._as_set)
+        return hash(self._frozen())
 
     def __repr__(self) -> str:
-        return f"<ConceptSet of {len(self._concepts)}>"
+        return f"<ConceptSet of {len(self)}>"
 
 
 def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
@@ -196,8 +220,8 @@ def brute_force_concepts(
     """Definitionally complete concept enumeration, for verification only.
 
     Walks every subset combination of all dimensions except the largest,
-    derives the maximal remaining component, and keeps the index tuples that
-    pass the concept test, sorted and labelled once.  Refuses inputs whose
+    derives the maximal remaining component, and keeps the index tuples
+    maximal in every other dimension, sorted.  Refuses inputs whose
     combination count exceeds ``cap``.
     """
     cost = oracle_cost(ctx)
@@ -217,6 +241,7 @@ def brute_force_concepts(
     widths = (subsets(s) for j, s in enumerate(sizes) if j != k)
     for combo in itertools.product(*widths):
         pos = combo[:k] + (ctx._extend_pos(k, combo),) + combo[k:]
-        if ctx._is_concept_pos(pos):
+        # pos[k] is the extension of the others, so only they can fail.
+        if ctx._is_concept_pos(pos, k):
             hits.add(pos)
-    return ConceptSet(tuple(ctx._labelled(pos) for pos in sorted(hits)))
+    return ConceptSet._keyed(ctx, hits)

@@ -440,11 +440,15 @@ class NContext:
         dimension."""
         return self._is_concept_pos(self.sort_key(t))
 
-    def _is_concept_pos(self, pos: tuple[tuple[int, ...], ...]) -> bool:
+    def _is_concept_pos(
+        self, pos: tuple[tuple[int, ...], ...], derived: int | None = None
+    ) -> bool:
         """``is_concept`` on index components: each equals the extension of
-        the others (for dimension 0 that also makes the box full)."""
+        the others (for any one dimension that also makes the box full).
+        Dimension ``derived``, whose component the caller made the extension
+        of the others, is not tested again."""
         for i in range(self._arity):
-            if self._extend_pos(i, pos[:i] + pos[i + 1 :]) != pos[i]:
+            if i != derived and self._extend_pos(i, pos[:i] + pos[i + 1 :]) != pos[i]:
                 return False
         return True
 

@@ -13,9 +13,11 @@ it directly and no slice context is built.  The definition is kept alive as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable
 
-from .concepts import DEFAULT_ORACLE_CAP, brute_force_concepts, closed_tuples
+from .concepts import DEFAULT_ORACLE_CAP, ConceptSet, brute_force_concepts, closed_tuples
 from .context import ArityError, ComponentTuple, InputError, NContext
 
 
@@ -69,12 +71,13 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
     return tuple(ctx.dims[i0].elements[p] for p in ext)
 
 
-def _gather(ctx: NContext, dim=None) -> tuple[IntroducerRecord, ...]:
-    """Slice-and-extend over dimension ``dim``, or over all; merge annotations."""
+def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
+    """Slice-and-extend over the selected dimensions, or over all; merge
+    annotations."""
     if ctx.arity < 2:
         raise ArityError("introducer computation needs at least 2 dimensions")
     bucket: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
-    for i0 in range(ctx.arity) if dim is None else [ctx._dim0(dim)]:
+    for i0 in range(ctx.arity) if dims is None else map(ctx._dim0, dims):
         elements = ctx.dims[i0].elements
         for x in range(len(elements)):
             for width in closed_tuples(*ctx._search_input(i0, x)):
@@ -87,11 +90,7 @@ def _gather(ctx: NContext, dim=None) -> tuple[IntroducerRecord, ...]:
                     )
                 # ext is the extension through i0 of the other components,
                 # so only the other dimensions can fail to be maximal.
-                if any(
-                    ctx._extend_pos(j, concept[:j] + concept[j + 1 :]) != concept[j]
-                    for j in range(ctx.arity)
-                    if j != i0
-                ):
+                if not ctx._is_concept_pos(concept, i0):
                     raise ConsistencyError(
                         f"extension {ctx._labelled(concept)} of slice concept "
                         f"{ctx._labelled(pos)} is not a concept"
@@ -118,9 +117,9 @@ def introducer_dim(ctx: NContext, dim) -> tuple[IntroducerRecord, ...]:
     and extend each through ``dim``.  Records arising from several x are
     merged, so each record's annotation for ``dim`` lists every element whose
     slice produced it.  Every extension is checked to contain x and to be a
-    concept.
+    concept.  ``dim`` is a selector as ``NContext.dim`` takes it.
     """
-    return _gather(ctx, dim)
+    return _gather(ctx, [dim])
 
 
 def introducers(ctx: NContext) -> tuple[IntroducerRecord, ...]:
@@ -152,34 +151,41 @@ def introducer_oracle(
     return _oracle_records(ctx, brute_force_concepts(ctx, cap=cap))
 
 
-def _oracle_records(ctx: NContext, base) -> tuple[IntroducerRecord, ...]:
-    """``introducer_oracle`` given the context's exhaustive concept set."""
-    bucket: dict[ComponentTuple, dict[int, list[str]]] = {}
-    for i0, dim in enumerate(ctx.dims):
-        with_widths = [
-            (
-                c,
-                tuple(
-                    frozenset(comp)
-                    for j, comp in enumerate(c.components)
-                    if j != i0
-                ),
-            )
-            for c in base
-        ]
-        for x in dim.elements:
-            cands = [
-                (c, w) for c, w in with_widths if x in c.components[i0]
-            ]
-            for c, w in cands:
-                dominated = any(
-                    w != w2 and all(a <= b for a, b in zip(w, w2))
-                    for _, w2 in cands
-                )
-                if not dominated:
-                    bucket.setdefault(c, {}).setdefault(i0 + 1, []).append(x)
-    # Each x is visited once per dimension, in element order.
-    return tuple(
-        IntroducerRecord(c, tuple((d, tuple(xs)) for d, xs in sorted(bucket[c].items())))
-        for c in base if c in bucket
-    )
+def _oracle_records(ctx: NContext, base: ConceptSet) -> tuple[IntroducerRecord, ...]:
+    """``introducer_oracle`` given the context's exhaustive concept set, as
+    ``brute_force_concepts`` or ``enumerate_concepts`` builds it.
+
+    The definition on bitsets over the concepts of ``base``: ``holds[j][p]``
+    is the set of concepts whose component j holds element p, and
+    ``sup[j][q]``, the AND of ``holds[j][p]`` over the p of q's component j,
+    is the set of concepts whose component j contains q's.  Concept q
+    introduces x of dimension i0 iff q holds x there and no other concept
+    holding x has a width (the components j != i0) containing q's: iff the
+    AND of ``sup[j][q]`` over j != i0, without q, misses ``holds[i0][x]``.
+    "Another concept" is "another width": component i0 of a concept is the
+    extension of its width, so two distinct concepts never share one.
+    """
+    keys = base._keys  # sorted index tuples of ctx
+    everyone = (1 << len(keys)) - 1
+    holds = [[0] * len(d) for d in ctx.dims]
+    for q, key in enumerate(keys):
+        for row, comp in zip(holds, key):
+            for p in comp:
+                row[p] |= 1 << q
+    sup = [
+        [reduce(and_, map(row.__getitem__, comp), everyone) for comp in comps]
+        for row, comps in zip(holds, zip(*keys))
+    ]
+    records = []
+    for q, key in enumerate(keys):
+        sups = [s[q] for s in sup]
+        intro = []
+        for i0, comp in enumerate(key):
+            above = reduce(and_, sups[:i0] + sups[i0 + 1 :], everyone ^ (1 << q))
+            xs = [x for x in comp if not above & holds[i0][x]]
+            if xs:
+                elements = ctx.dims[i0].elements
+                intro.append((i0 + 1, tuple(elements[x] for x in xs)))
+        if intro:
+            records.append(IntroducerRecord(ctx._labelled(key), tuple(intro)))
+    return tuple(records)

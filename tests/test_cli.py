@@ -228,7 +228,7 @@ def test_verify_failure_is_exit_1(monkeypatch, capsys):
         "extra=['(α, 1, a)', '(β, 13, a)']"
     )
     assert lines[1] == (
-        "introducer oracle: FAIL disagreement=['(∅, 1 2 3, a b c) introduces 2: 1 2 3; 3: b c']"
+        "introducer oracle: FAIL missing=['(∅, 123, abc) introduces dim2: 1 2 3; dim3: b c'] extra=[]"
     )
     assert lines[4] == "soundness: FAIL strays=['(α, 1, ab)', '(β, 3, ac)']"
     assert lines[5] == (
@@ -245,7 +245,7 @@ def test_verify_one_failure_is_exit_1(monkeypatch, capsys):
     assert cli.main(["verify", FIG3_TSV]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == (
-        "introducer oracle: FAIL disagreement=['(∅, 1 2 3, a b c) introduces 2: 1 2 3; 3: b c']"
+        "introducer oracle: FAIL missing=[] extra=['(∅, 123, abc) introduces dim2: 1 2 3; dim3: b c']"
     )
     assert [line for line in lines if ": FAIL " in line] == [lines[1]]
     assert lines[-1] == "result: fail (1)"
@@ -263,13 +263,17 @@ def test_verify_uniqueness_failure_is_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "introducers", first_repeated)
     assert cli.main(["verify", FIG3_TSV]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2] == "uniqueness axiom: FAIL [('(∅, 1 2 3, a b c)', '(∅, 1 2 3, a b c)')]"
+    # the oracle check counts copies, so it names the repeated one
+    assert lines[1] == (
+        "introducer oracle: FAIL missing=[] extra=['(∅, 123, abc) introduces dim2: 1 2 3; dim3: b c']"
+    )
+    assert lines[2] == "uniqueness axiom: FAIL [('(∅, 123, abc)', '(∅, 123, abc)')]"
     assert lines[3] == "antiordinal axiom: ok"
     assert lines[5] == (
         "introduction counts: FAIL dim2/1: 4 != 3; dim2/2: 4 != 3; dim2/3: 4 != 3; "
         "dim3/b: 4 != 3; dim3/c: 4 != 3"
     )
-    assert lines[-1] == "result: fail (2)"
+    assert lines[-1] == "result: fail (3)"
 
 
 def test_verify_antiordinal_failure_is_exit_1(monkeypatch, capsys):
@@ -282,9 +286,9 @@ def test_verify_antiordinal_failure_is_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "introducers", lambda ctx: introducers(ctx) + (stray,))
     assert cli.main(["verify", FIG3_TSV]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "introducer oracle: FAIL disagreement=['(α β, 1, a) introduces ']"
+    assert lines[1] == "introducer oracle: FAIL missing=[] extra=['(αβ, 1, a) introduces ']"
     assert lines[2] == "uniqueness axiom: ok"
-    assert lines[3] == "antiordinal axiom: FAIL [('(α β, 1, a)', '(α β, 1 3, a)')]"
+    assert lines[3] == "antiordinal axiom: FAIL [('(αβ, 1, a)', '(αβ, 13, a)')]"
     assert lines[4] == "soundness: FAIL strays=['(αβ, 1, a)']"
     assert lines[5] == "introduction counts: ok (8 elements)"
     assert lines[-1] == "result: fail (3)"

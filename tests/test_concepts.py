@@ -219,6 +219,51 @@ def test_concept_set_rejects_non_concepts(fig1):
         ConceptSet.collect(fig1, [box("1", "ab"), box("1", "ba")])
 
 
+def test_keyed_concept_set_counts_and_compares_without_labels(fig3, monkeypatch):
+    def refuse(self, pos):
+        raise AssertionError(f"labelled {pos}")
+
+    monkeypatch.setattr(NContext, "_labelled", refuse)
+    found, reference = enumerate_concepts(fig3), brute_force_concepts(fig3)
+    assert len(found) == len(reference) == 7
+    assert found == reference and not found != reference
+    assert repr(found) == "<ConceptSet of 7>"
+    # an equal context, built apart, over the same dimensions
+    again = enumerate_concepts(NContext(fig3.dims, fig3.tuples()))
+    assert again == found
+    fewer = NContext(fig3.dims, fig3.tuples()[1:])
+    assert enumerate_concepts(fewer) != found
+    assert [len(enumerate_concepts(fig3.slice(1, x))) for x in "αβ"] == [4, 3]
+
+
+def test_keyed_and_labelled_concept_sets_are_interchangeable(fig1, fig3):
+    for ctx, expected in ((fig1, FIG1_CONCEPTS), (fig3, FIG3_CONCEPTS)):
+        labelled = ConceptSet(tuple(sorted(expected, key=ctx.sort_key)))
+        # hashed before any member is read, then read
+        assert hash(enumerate_concepts(ctx)) == hash(labelled) == hash(frozenset(expected))
+        found = enumerate_concepts(ctx)
+        assert found == expected and expected == found
+        assert found == labelled and labelled == found
+        assert hash(found) == hash(labelled)
+        assert found.concepts == labelled.concepts
+        assert list(found) == list(labelled) and found[-1] == labelled[-1]
+        assert all(t in found for t in expected)
+    # keyed sets over different dimensions compare by their labels
+    renamed = NContext([("x", "123"), ("y", "abc")], fig1.tuples())
+    assert enumerate_concepts(renamed) == enumerate_concepts(fig1)
+
+
+def test_differing_keyed_and_labelled_concept_sets_are_unequal(fig3):
+    found = enumerate_concepts(fig3)
+    for other in (
+        ConceptSet(found.concepts[1:]),
+        ConceptSet(found.concepts[1:] + (box("αβ", "1", "a"),)),
+    ):
+        assert found != other and other != found
+        assert found != set(other)
+    assert found != enumerate_concepts(fig3.slice(1, "α"))
+
+
 def test_oracle_guard_refuses_large_contexts():
     ctx = NContext([("d1", [f"o{i}" for i in range(25)]), ("d2", "ab")], [])
     assert oracle_cost(ctx) == 4  # widths walk only the smaller side

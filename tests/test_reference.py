@@ -1,0 +1,121 @@
+"""Both oracles and the enumerator against a reference that shares no bit
+kernel with them.
+
+``brute_force_concepts``, ``enumerate_concepts`` and the introducer
+computation all read the context's bit rows through ``NContext._extend_pos``
+and ``_width_bits``, so a fault there could move an oracle together with the
+answer it checks.  The reference here reads only ``ctx.tuples()``: concepts
+are the maximal full boxes of that set of label cells, and introducers come
+from the pairwise definition over them, written with frozensets.
+"""
+
+import itertools
+
+from hypothesis import given
+
+from polyconcept import (
+    brute_force_concepts,
+    enumerate_concepts,
+    extend_height,
+    introducer_oracle,
+    introducers,
+)
+
+from test_properties import PROPERTY, contexts
+
+
+def _subsets(elements):
+    return itertools.chain.from_iterable(
+        itertools.combinations(elements, r) for r in range(len(elements) + 1)
+    )
+
+
+def _concepts_by_definition(ctx):
+    """The concepts of ctx as label components: the full boxes of its cells
+    that no box one element larger contains.
+
+    A box in a full box is full, so a full box is maximal iff no single
+    element can join any of its components.  The last component is grown to
+    its largest here, so only the others are tried.
+    """
+    cells = set(ctx.tuples())
+    domains = [d.elements for d in ctx.dims]
+
+    def full(comps):
+        return all(cell in cells for cell in itertools.product(*comps))
+
+    found = set()
+    for head in itertools.product(*map(_subsets, domains[:-1])):
+        box = head + (tuple(y for y in domains[-1] if full(head + ((y,),))),)
+        grows = any(
+            y not in comp and full(box[:i] + ((y,),) + box[i + 1 :])
+            for i, comp in enumerate(box[:-1])
+            for y in domains[i]
+        )
+        if not grows:
+            found.add(box)
+    return found
+
+
+def _introducers_by_definition(ctx, concepts):
+    """{concept: introduces} as ``IntroducerRecord`` holds it: for each x of
+    each dimension i, the concepts holding x whose width (the components
+    other than i) no other such concept's width contains."""
+    bucket = {}
+    for i0, dim in enumerate(ctx.dims):
+        with_widths = [
+            (c, tuple(frozenset(comp) for j, comp in enumerate(c) if j != i0))
+            for c in concepts
+        ]
+        for x in dim.elements:
+            cands = [(c, w) for c, w in with_widths if x in c[i0]]
+            for c, w in cands:
+                dominated = any(
+                    w != w2 and all(a <= b for a, b in zip(w, w2))
+                    for _, w2 in cands
+                )
+                if not dominated:
+                    bucket.setdefault(c, {}).setdefault(i0 + 1, []).append(x)
+    return {
+        c: tuple((d, tuple(xs)) for d, xs in sorted(intro.items()))
+        for c, intro in bucket.items()
+    }
+
+
+def _routes(ctx):
+    """What the ``sweep_results`` fixture holds, for one context."""
+    res = {"concepts": enumerate_concepts(ctx), "brute": brute_force_concepts(ctx)}
+    if ctx.arity > 1:
+        res.update(records=introducers(ctx), oracle_records=introducer_oracle(ctx))
+    return res
+
+
+def check_against_definition(ctx, res):
+    """Both concept routes, and both introducer routes when arity > 1, equal
+    the definition's results."""
+    concepts = _concepts_by_definition(ctx)
+    for got in (res["concepts"], res["brute"]):
+        assert len(got) == len(concepts), ctx
+        assert {t.components for t in got} == concepts, ctx
+    if ctx.arity < 2:
+        return
+    expected = _introducers_by_definition(ctx, concepts)
+    for got in (res["records"], res["oracle_records"]):
+        assert len(got) == len(expected), ctx
+        assert {r.concept.components: r.introduces for r in got} == expected, ctx
+    # component i of a concept is the height of the others
+    for c in concepts:
+        for i, d in enumerate(ctx.dims):
+            assert extend_height(ctx, d.index, c[:i] + c[i + 1 :]) == c[i], ctx
+
+
+@PROPERTY
+@given(contexts())
+def test_routes_equal_the_definition(ctx):
+    check_against_definition(ctx, _routes(ctx))
+
+
+def test_routes_equal_the_definition_on_the_sweep(sweep_results):
+    # seeds 0, 10, ..., 90 of every shape and density
+    for res in sweep_results[::10]:
+        check_against_definition(res["ctx"], res)
