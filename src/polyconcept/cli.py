@@ -210,7 +210,15 @@ def cmd_verify(args) -> int:
         pairs = [(format_concept(ctx, a), format_concept(ctx, b)) for a, b in violations]
         table[f"{axiom} axiom"] = _verdict(pairs)
 
-    strays = [format_concept(ctx, r.concept) for r in records if r.concept not in found]
+    keys = set(map(ctx.sort_key, found) if found._keys is None else found._keys)
+    strays = []
+    for r in records:
+        try:
+            if ctx.sort_key(r.concept) in keys:
+                continue
+        except InputError:  # not a canonical tuple of ctx
+            pass
+        strays.append(format_concept(ctx, r.concept))
     sound = f"{len(records)} of {len(records)} records are concepts"
     table["soundness"] = _verdict(strays and f"strays={strays}", sound)
 

@@ -125,7 +125,8 @@ def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
     With two dimensions the closed pairs are the concepts; with more, each
     concept T of C as an (n-1)-ary relation gives the concept (A, T) iff no
     row outside A covers T's box.  A 1-ary relation is its own single
-    concept.  Box masks are built only when ``boxed``.
+    concept.  Box masks are built only when ``boxed``, as cells times the
+    spread of A (bit ``b * stride`` per row b of A) carried on the stack.
     """
     if len(sizes) == 1:
         yield (rel,), rel
@@ -133,21 +134,22 @@ def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
     n, stride = sizes[0], math.prod(sizes[1:])
     full = (1 << stride) - 1
     rows = [rel >> b * stride & full for b in range(n)]
-    stack = [(sum([1 << b for b in range(n) if rows[b] == full]), full, 0)]
+    spread = [1 << b * stride if boxed else 0 for b in range(n)]
+    a = sum([1 << b for b in range(n) if rows[b] == full])
+    stack = [(a, full, 0, sum(spread[b] for b in _elements(a)))]
     while stack:
-        a, c, y = stack.pop()
+        a, c, y, s = stack.pop()
         if len(sizes) == 2:
-            yield (a, c), sum(c << p * stride for p in _elements(a)) if boxed else 0
+            yield (a, c), c * s
         else:
+            out = _elements(a ^ (1 << n) - 1)  # the rows outside A
             for comps, box in _cbo(sizes[1:], c, True):
                 # The rows of A cover c, so a box that is all of c is kept.
-                for b in range(n) if box != c else ():
-                    if rows[b] & box == box and not a >> b & 1:
+                for b in out if box != c else ():
+                    if rows[b] & box == box:
                         break
                 else:
-                    if boxed:
-                        box = sum(box << p * stride for p in _elements(a))
-                    yield (a,) + comps, box
+                    yield (a,) + comps, box * s
         for j in range(y, n):
             if a >> j & 1:
                 continue
@@ -156,11 +158,12 @@ def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
                 if rows[b] & d == d and not a >> b & 1:
                     break
             else:
-                e = a
+                e, t = a, s
                 for k in range(j, n):
                     if rows[k] & d == d:
                         e |= 1 << k
-                stack.append((e, d, j + 1))
+                        t |= spread[k]
+                stack.append((e, d, j + 1, t))
 
 
 def closed_tuples(
@@ -178,7 +181,7 @@ def closed_tuples(
     """
     back = [order.index(k) for k in range(len(order))]
     for masks, _ in _cbo(sizes, rel, False):
-        yield tuple(tuple(_elements(masks[k])) for k in back)
+        yield tuple([_elements(masks[k]) for k in back])
 
 
 def enumerate_concepts(

@@ -20,7 +20,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from operator import ge, getitem, index, mul
+from functools import reduce
+from operator import and_, ge, getitem, index, mul
 from typing import Iterable, Sequence
 
 MAX_ARITY = 500  # the concept search nests one generator per dimension
@@ -59,25 +60,35 @@ def check_dimension_name(name: str) -> str:
     return name
 
 
-def _layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(order, strides) of a cell layout: ``order`` lists the dimensions
+def _layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """(order, strides, wide) of a cell layout: ``order`` lists the dimensions
     smallest first (stable), the slowest first; ``strides[k]`` is the
-    mixed-radix stride of dimension k."""
+    mixed-radix stride of dimension k; ``wide`` lists the dimensions of more
+    than one element, fastest first."""
     order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
     strides, step = [0] * len(sizes), 1
     for k in reversed(order):
         strides[k], step = step, step * sizes[k]
-    return order, tuple(strides)
+    return order, tuple(strides), [k for k in reversed(order) if sizes[k] > 1]
 
 
-def _elements(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+_DECODED = [()]  # _DECODED[m]: the set bits of m, for every m < _SMALL
+for _b in range(10):
+    _DECODED += [bits + (_b,) for bits in _DECODED]
+_SMALL = len(_DECODED)
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending: looked up below
+    ``_SMALL``, else peeled off lowest first."""
+    if mask < _SMALL:
+        return _DECODED[mask]
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -229,7 +240,7 @@ class NContext:
         self._arity = len(dims)
         self._provenance = provenance
         sizes = [len(d) for d in dims]
-        self._order, self._strides = zip(
+        self._order, self._strides, self._wide = zip(
             *(_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity))
         )
         self._layers: list[list[int]] = [[0] * s for s in sizes]
@@ -379,12 +390,15 @@ class NContext:
         ``sum(p_k * stride_k)``.  The mask is built one dimension at a time,
         smallest stride first: each step ORs together one copy of the mask so
         far shifted by ``p * stride`` for every ``p`` in that dimension's
-        component.  An empty component gives 0; with no other dimension the
-        product is the single empty cell, bit 1.
+        component, skipping dimensions of one element, whose (0,) shifts by
+        0.  An empty component gives 0; with no other dimension the product
+        is the single empty cell, bit 1.
         """
+        if not all(comps):
+            return 0
         strides = self._strides[i0]
         mask = 1
-        for k in reversed(self._order[i0]):
+        for k in self._wide[i0]:
             acc = 0
             for p in comps[k]:
                 acc |= mask << p * strides[k]
@@ -397,9 +411,15 @@ class NContext:
         ``comps`` are index components for the dimensions other than i0, in
         original order.  An empty width component makes every layer qualify
         vacuously; for a 1-dimensional context the result is the relation.
+        In two dimensions a width smaller than this dimension ANDs the width's
+        rows (this one's columns); otherwise this dimension's rows are scanned.
         """
+        rows = self._layers[i0]
+        if self._arity == 2 and len(comps[0]) < len(rows):
+            cols = self._layers[1 - i0]
+            return _elements(reduce(and_, map(cols.__getitem__, comps[0]), (1 << len(rows)) - 1))
         w = self._width_bits(i0, comps)
-        return tuple([e for e, row in enumerate(self._layers[i0]) if row & w == w])
+        return tuple([e for e, row in enumerate(rows) if row & w == w])
 
     def _search_input(self, i0: int | None = None, x: int = 0):
         """(sizes, mask, order), the input of ``concepts.closed_tuples``.
@@ -447,8 +467,11 @@ class NContext:
         the others (for any one dimension that also makes the box full).
         Dimension ``derived``, whose component the caller made the extension
         of the others, is not tested again."""
-        for i in range(self._arity):
-            if i != derived and self._extend_pos(i, pos[:i] + pos[i + 1 :]) != pos[i]:
+        width = list(pos[1:])  # pos without component i, updated in place
+        for i, comp in enumerate(pos):
+            if i:
+                width[i - 1] = pos[i - 1]
+            if i != derived and self._extend_pos(i, width) != comp:
                 return False
         return True
 

@@ -217,15 +217,13 @@ def _component_str(dim: Dimension, labels: Sequence[str]) -> str:
     return dim._sep.join(labels) if labels else "∅"
 
 
+def _components_str(dims: Sequence[Dimension], components) -> str:
+    return "(" + ", ".join(map(_component_str, dims, components)) + ")"
+
+
 def format_concept(ctx: NContext, t: ComponentTuple) -> str:
     """One-line rendering, components in dimension order: ``(αβ, 13, a)``."""
-    return (
-        "("
-        + ", ".join(
-            _component_str(d, comp) for d, comp in zip(ctx.dims, t.components)
-        )
-        + ")"
-    )
+    return _components_str(ctx.dims, t.components)
 
 
 def _format_introduces(ctx: NContext, record: IntroducerRecord) -> str:
@@ -256,17 +254,24 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "structured"):
         raise InputError(f"unknown format {fmt!r}")
-    pairs = [(m.concept, m) if isinstance(m, IntroducerRecord) else (m, None) for m in items]
-    if not isinstance(items, ConceptSet):
-        pairs.sort(key=lambda pair: ctx.sort_key(pair[0]))
+    dims = ctx.dims
+    if isinstance(items, ConceptSet) and items._keys is not None and items._ctx.dims == dims:
+        # labelled here from the sorted keys; no ComponentTuple is built
+        label = [d.elements.__getitem__ for d in dims]
+        pairs = [([*map(tuple, map(map, label, key))], None) for key in items._keys]
+    else:
+        pairs = [(m.concept, m) if isinstance(m, IntroducerRecord) else (m, None) for m in items]
+        if not isinstance(items, ConceptSet):
+            pairs.sort(key=lambda pair: ctx.sort_key(pair[0]))
+        pairs = [(t.components, record) for t, record in pairs]
     lines = []
-    for t, record in pairs:
+    for components, record in pairs:
         if fmt == "text":
-            line = format_concept(ctx, t)
+            line = _components_str(dims, components)
             if record:
                 line += "\t" + _format_introduces(ctx, record)
         elif fmt == "structured":
-            doc: dict = {"components": [list(c) for c in t.components]}
+            doc: dict = {"components": [list(c) for c in components]}
             if record:
                 doc["introduces"] = {
                     str(d): list(labels) for d, labels in record.introduces

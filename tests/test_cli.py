@@ -43,6 +43,21 @@ def test_concepts_fig3(tmp_path):
     assert "7 concepts" in res.stderr
 
 
+def test_concepts_prints_without_labelling_a_concept(monkeypatch, capsys):
+    from polyconcept import NContext
+
+    def refuse(self, pos):
+        raise AssertionError(f"labelled {pos}")
+
+    for fmt in ("text", "structured"):
+        assert cli.main(["concepts", FIG3_TSV, "--format", fmt]) == 0
+        expected = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(NContext, "_labelled", refuse)
+            assert cli.main(["concepts", FIG3_TSV, "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_concepts_fig1_cross_table():
     res = run_cli("concepts", FIG1_CSV)
     assert res.returncode == 0
@@ -385,6 +400,17 @@ def test_verify_passes_on_fixtures():
         assert res.returncode == 0, res.stdout + res.stderr
         assert "result: pass" in res.stdout
         assert "concept oracle: ok" in res.stdout
+
+
+def test_passing_verify_labels_no_enumerated_concept(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("labelled a concept set")
+
+    monkeypatch.setattr(ConceptSet, "concepts", property(refuse))
+    monkeypatch.setattr(ConceptSet, "_frozen", refuse)
+    for path in (FIG1_CSV, FIG3_TSV):
+        assert cli.main(["verify", path]) == 0
+        assert capsys.readouterr().out.endswith("result: pass\n")
 
 
 def test_verify_skips_oracle_when_infeasible():

@@ -305,6 +305,44 @@ def test_width_bits_matches_cell_by_cell_reference():
     assert NContext([("d", "ab")], [("a",)])._width_bits(0, ()) == 1
 
 
+def test_two_dimensional_extension_matches_row_scan():
+    # Tall, wide and square tables, empty to full.  A width of fewer
+    # elements than the extended dimension has rows is extended by ANDing
+    # the other dimension's rows; every width is held to the row scan.
+    rng = random.Random(30)
+    branches, crossless = set(), 0
+    for sizes in ((30, 4), (4, 30), (8, 8)):
+        for density in (0, 0.3, 1):
+            ctx = generate_random(sizes, density, rng.randrange(1 << 30))
+            crossless += ctx._layers[0].count(0) + ctx._layers[1].count(0)
+            for i0 in (0, 1):
+                rows, other = ctx._layers[i0], sizes[1 - i0]
+                for r in range(other + 1):
+                    for _ in range(3):
+                        width = tuple(sorted(rng.sample(range(other), r)))
+                        w = ctx._width_bits(i0, (width,))
+                        scan = tuple(e for e, row in enumerate(rows) if row & w == w)
+                        assert ctx._extend_pos(i0, (width,)) == scan, (sizes, density, i0, width)
+                        branches.add(r < len(rows))
+    assert branches == {True, False} and crossless
+
+
+def test_decoder_matches_bit_loop():
+    from polyconcept.context import _elements
+
+    def bits(mask):
+        return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+    for mask in range(1 << 12):
+        assert _elements(mask) == bits(mask), mask
+    rng = random.Random(31)
+    for width in (11, 64, 1000, 3000):
+        for density in (0.01, 0.1, 0.5, 0.99):
+            for _ in range(5):
+                mask = sum(1 << k for k in range(width) if rng.random() < density)
+                assert _elements(mask) == bits(mask), (width, density)
+
+
 def _outcome(ctx, t):
     """``ctx.sort_key(t)``, or the type of the error it raises."""
     try:

@@ -372,6 +372,23 @@ class TestSerializeConcepts:
         with pytest.raises(InputError):
             serialize_concepts(fig1, [], fmt="xml")
 
+    def test_keyed_set_prints_as_its_labelled_members(self, fig1, fig3):
+        # A keyed set prints from its index keys; a list of its members is
+        # labelled and sorted first.  Both must give the same bytes.
+        rng = random.Random(32)
+        ctxs = [fig1, fig3, parse_tuples((FIXTURES / "rand_2x3x3_d35_s42.tsv").read_text())]
+        ctxs += [NContext([("d", [])]), NContext([("d", "ab"), ("e", [])])]
+        for n in range(1, 5):
+            for density in (0, 0.4, 1):
+                sizes = [rng.randint(1, 4) for _ in range(n)]
+                ctxs.append(generate_random(sizes, density, rng.randrange(1 << 30)))
+        for ctx in ctxs:
+            found = enumerate_concepts(ctx)
+            for fmt in ("text", "structured"):
+                assert serialize_concepts(ctx, found, fmt) == serialize_concepts(
+                    ctx, list(found), fmt
+                ), (ctx, fmt)
+
     def test_record_text_carries_annotations(self, fig3):
         text = serialize_concepts(fig3, introducers(fig3))
         line = [l for l in text.splitlines() if l.startswith("(αβ, 13, a)")][0]
