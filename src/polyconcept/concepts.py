@@ -16,7 +16,6 @@ input the oracle can afford, and the test suite holds them to that.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Iterator, Sequence
 
 from .context import ComponentTuple, InputError, NContext, _elements
@@ -114,36 +113,38 @@ class ConceptSet:
         return f"<ConceptSet of {len(self)}>"
 
 
-def _cbo(sizes: Sequence[int], rel: int, boxed: bool):
+def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, boxed: bool, lv: int = 0):
     """(component masks, box mask) of every concept of ``rel``, each once.
 
-    Close-by-One walks the closed pairs (A, C) of the first dimension against
-    the cells of the others on an explicit stack.  A child adds a row j above
-    the last one added and, with D the cells of C in row j, is canonical iff
-    no row b < j outside A covers D; only then is it closed, from A over the
-    rows from j up, since the rows of A cover D and those below j do not.
-    With two dimensions the closed pairs are the concepts; with more, each
-    concept T of C as an (n-1)-ary relation gives the concept (A, T) iff no
-    row outside A covers T's box.  A 1-ary relation is its own single
-    concept.  Box masks are built only when ``boxed``, as cells times the
-    spread of A (bit ``b * stride`` per row b of A) carried on the stack.
+    ``rel`` is a relation over the dimensions of ``sizes`` from level ``lv``
+    on; ``cells[k]`` is the product of the sizes after k.  Close-by-One walks
+    the closed pairs (A, C) of the first dimension against the cells of the
+    others on an explicit stack.  A child adds a row j above the last one
+    added and, with D the cells of C in row j, is canonical iff no row b < j
+    outside A covers D; only then is it closed, from A over the rows from j
+    up, since the rows of A cover D and those below j do not.  With two
+    dimensions the closed pairs are the concepts; with more, each concept T
+    of C as an (n-1)-ary relation gives the concept (A, T) iff no row
+    outside A covers T's box.  A 1-ary relation is its own single concept.
+    Box masks are built only when ``boxed``, as cells times the spread of A
+    (bit ``b * stride`` per row b of A) carried on the stack.
     """
-    if len(sizes) == 1:
+    if lv + 1 == len(sizes):
         yield (rel,), rel
         return
-    n, stride = sizes[0], math.prod(sizes[1:])
+    n, stride, last = sizes[lv], cells[lv], lv + 2 == len(sizes)
     full = (1 << stride) - 1
     rows = [rel >> b * stride & full for b in range(n)]
     spread = [1 << b * stride if boxed else 0 for b in range(n)]
     a = sum([1 << b for b in range(n) if rows[b] == full])
-    stack = [(a, full, 0, sum(spread[b] for b in _elements(a)))]
+    stack = [(a, full, 0, sum(map(spread.__getitem__, _elements(a))))]
     while stack:
         a, c, y, s = stack.pop()
-        if len(sizes) == 2:
+        if last:
             yield (a, c), c * s
         else:
             out = _elements(a ^ (1 << n) - 1)  # the rows outside A
-            for comps, box in _cbo(sizes[1:], c, True):
+            for comps, box in _cbo(sizes, cells, c, True, lv + 1):
                 # The rows of A cover c, so a box that is all of c is kept.
                 for b in out if box != c else ():
                     if rows[b] & box == box:
@@ -179,8 +180,13 @@ def closed_tuples(
     every level of the nested search has the smallest dimension left as its
     outer one, which bounds the cost of a closure.
     """
-    back = [order.index(k) for k in range(len(order))]
-    for masks, _ in _cbo(sizes, rel, False):
+    back = [0] * len(order)
+    for k, o in enumerate(order):
+        back[o] = k
+    cells = [1] * len(sizes)
+    for k in range(len(sizes) - 1, 0, -1):
+        cells[k - 1] = cells[k] * sizes[k]
+    for masks, _ in _cbo(sizes, cells, rel, False):
         yield tuple([_elements(masks[k]) for k in back])
 
 

@@ -11,16 +11,16 @@ the element order declared at construction time fixes the canonical ordering
 of every component set produced by the library.  The relation is held once,
 as one bit row per (dimension, element) over the cells of the other
 dimensions, laid out here only, smallest dimension slowest, as the concept
-search reads them; a slice's relation is one of those rows, decoded into
-index tuples and laid out again without going through labels.
+search reads them.  A slice context is cut from the parent's rows of the
+dimensions it keeps, bit block by bit block, without decoding a cell or
+going through labels; layouts are computed once per shape.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, ge, getitem, index, mul
 from typing import Iterable, Sequence
 
@@ -60,16 +60,19 @@ def check_dimension_name(name: str) -> str:
     return name
 
 
-def _layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
-    """(order, strides, wide) of a cell layout: ``order`` lists the dimensions
-    smallest first (stable), the slowest first; ``strides[k]`` is the
-    mixed-radix stride of dimension k; ``wide`` lists the dimensions of more
-    than one element, fastest first."""
+@lru_cache(maxsize=1024)
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(order, strides, wide, ranked) of a cell layout, computed once per
+    shape: ``order`` lists the dimensions smallest first (stable), the
+    slowest first; ``strides[k]`` is the mixed-radix stride of dimension k;
+    ``wide`` lists the dimensions of more than one element, fastest first;
+    ``ranked`` lists the sizes in ``order``."""
     order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
     strides, step = [0] * len(sizes), 1
     for k in reversed(order):
         strides[k], step = step, step * sizes[k]
-    return order, tuple(strides), [k for k in reversed(order) if sizes[k] > 1]
+    wide = tuple([k for k in reversed(order) if sizes[k] > 1])
+    return order, tuple(strides), wide, tuple([sizes[k] for k in order])
 
 
 _DECODED = [()]  # _DECODED[m]: the set bits of m, for every m < _SMALL
@@ -195,8 +198,8 @@ class NContext:
 
     Instances never change after construction; all operations are read-only
     and safe to share between threads.  Slices are independent values: the
-    rows of a slice at x of dimension i are built from the index tuples
-    decoded out of ``_layers[i][x]``.
+    rows of a slice at x of dimension i are cut from the parent's rows of
+    the other dimensions, not from ``_layers[i][x]``.
     """
 
     def __init__(self, dims: Sequence, relation: Iterable[Sequence[str]] = ()):
@@ -235,19 +238,23 @@ class NContext:
         names = [d.name for d in dims]
         if len(set(names)) != len(names):
             raise InputError(f"dimension names must be unique, got {names}")
-        self._dims = dims
-        self._lookup = tuple(d._pos for d in dims)  # read by _index
-        self._arity = len(dims)
-        self._provenance = provenance
-        sizes = [len(d) for d in dims]
-        self._order, self._strides, self._wide = zip(
-            *(_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity))
-        )
-        self._layers: list[list[int]] = [[0] * s for s in sizes]
+        self._shape(dims, provenance)
+        self._layers: list[list[int]] = [[0] * len(d) for d in dims]
         spread = [st[:i] + (0,) + st[i:] for i, st in enumerate(self._strides)]
         for t in rel:
             for p, layer, st in zip(t, self._layers, spread):
                 layer[p] |= 1 << sum(map(mul, t, st))
+
+    def _shape(self, dims: tuple[Dimension, ...], provenance) -> None:
+        """Set checked dimensions and the layout of each one's rows."""
+        self._dims = dims
+        self._lookup = tuple(d._pos for d in dims)  # read by _index
+        self._arity = len(dims)
+        self._provenance = provenance
+        sizes = tuple([len(d) for d in dims])
+        self._order, self._strides, self._wide, self._ranked = zip(
+            *[_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
+        )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -270,9 +277,10 @@ class NContext:
 
     def tuples(self) -> tuple[tuple[str, ...], ...]:
         """All relation tuples as labels, in canonical (index) order."""
-        # The rows' bit order need not be index order: sort, then label.
+        # The rows' bit order need not be index order: decode, sort, label.
+        radix = list(zip(self._strides[0], map(len, self._dims[1:])))
         rows = enumerate(self._layers[0])
-        out = sorted((x, *cell) for x, row in rows for cell in self._cells(0, row))
+        out = sorted((x, *[c // s % n for s, n in radix]) for x, row in rows for c in _elements(row))
         columns = zip(self._dims, zip(*out))
         return tuple(zip(*(map(d.elements.__getitem__, col) for d, col in columns)))
 
@@ -377,12 +385,6 @@ class NContext:
 
     # -- bit-row machinery ---------------------------------------------------
 
-    def _cells(self, i0: int, row: int) -> list[tuple[int, ...]]:
-        """The cells set in a row of dimension i0, in bit order, as index
-        tuples over the other dimensions in original order."""
-        radix = list(zip(self._strides[i0], map(len, self._dims[:i0] + self._dims[i0 + 1 :])))
-        return [tuple([c // s % n for s, n in radix]) for c in _elements(row)]
-
     def _width_bits(self, i0: int, comps: Sequence[Sequence[int]]) -> int:
         """Mask of the product of index components over all dimensions != i0.
 
@@ -432,16 +434,14 @@ class NContext:
         """
         if self._arity > MAX_ARITY:
             raise ArityError(f"concept search takes at most {MAX_ARITY} dimensions, got {self._arity}")
-        sizes = [len(d) for d in self._dims]
         if i0 is not None:
-            order = self._order[i0]
-            del sizes[i0]
-            return [sizes[k] for k in order], self._layers[i0][x], order
+            return self._ranked[i0], self._layers[i0][x], self._order[i0]
+        sizes = [len(d) for d in self._dims]
         s = sizes.index(min(sizes))
         order = (s, *(k + (k >= s) for k in self._order[s]))
-        cells = math.prod(sizes[k] for k in order[1:])
+        cells = math.prod(self._ranked[s])
         mask = sum(row << y * cells for y, row in enumerate(self._layers[s]))
-        return [sizes[k] for k in order], mask, order
+        return (sizes[s], *self._ranked[s]), mask, order
 
     # -- box predicates ------------------------------------------------------
 
@@ -489,19 +489,31 @@ class NContext:
 
         Returns the (n-1)-ary context whose relation keeps exactly the tuples
         that carried ``element`` at the selected position, with that field
-        removed: the cells of that element's row, as index tuples.  The
-        result records where it was sliced for diagnostics.
+        removed.  Its layout is the parent's without that dimension, so each
+        of its rows is the parent's row of that element, keeping the bits
+        whose sliced digit is ``element``'s: one stride-long run per block of
+        the slower dimensions.  The result records where it was sliced.
         """
         if self._arity == 1:
             raise ArityError("cannot slice a 1-dimensional context")
         i0 = self._dim0(dim)
         src = self._dims[i0]
-        row = self._layers[i0][src.position(element)]
-        # Later dimensions are renumbered copies; no label is checked again.
-        others = self._dims[:i0] + tuple(map(copy.copy, self._dims[i0 + 1 :]))
-        for k in range(i0, len(others)):
-            object.__setattr__(others[k], "index", k + 1)
-        return NContext._of_indices(others, self._cells(i0, row), (src.name, element))
+        x, n = src.position(element), len(src)
+        dims = list(self._dims)
+        del dims[i0]
+        for k in range(i0, len(dims)):  # renumbered; no label is checked again
+            d = dims[k] = object.__new__(Dimension)
+            vars(d).update(vars(self._dims[k + 1]), index=k + 1)
+        sub = object.__new__(NContext)
+        sub._shape(tuple(dims), (src.name, element))
+        sub._layers = []
+        for k, rows in enumerate(self._layers):
+            if k != i0:
+                st = self._strides[k][i0 - (i0 > k)]
+                low, block = (1 << st) - 1, st * n
+                cuts = [(a + x * st, a // n) for a in range(0, math.prod(self._ranked[k]), block)]
+                sub._layers.append([sum([(r >> a & low) << b for a, b in cuts]) for r in rows])
+        return sub
 
     def derive(self, side, labels: Iterable[str]) -> tuple[str, ...]:
         """2D derivation: elements of the other side related to all of X.

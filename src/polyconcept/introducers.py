@@ -73,7 +73,7 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
 
 def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
     """Slice-and-extend over the selected dimensions, or over all; merge
-    annotations."""
+    annotations.  Each distinct concept is tested once, on arrival."""
     if ctx.arity < 2:
         raise ArityError("introducer computation needs at least 2 dimensions")
     bucket: dict[tuple[tuple[int, ...], ...], dict[int, list[int]]] = {}
@@ -88,14 +88,17 @@ def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
                     raise ConsistencyError(
                         f"extension of {ctx._labelled(pos)} lost {elements[x]!r}"
                     )
-                # ext is the extension through i0 of the other components,
-                # so only the other dimensions can fail to be maximal.
-                if not ctx._is_concept_pos(concept, i0):
-                    raise ConsistencyError(
-                        f"extension {ctx._labelled(concept)} of slice concept "
-                        f"{ctx._labelled(pos)} is not a concept"
-                    )
-                bucket.setdefault(concept, {}).setdefault(i0 + 1, []).append(x)
+                intro = bucket.get(concept)
+                if intro is None:
+                    # ext is the extension through i0 of the other components,
+                    # so only the other dimensions can fail to be maximal.
+                    if not ctx._is_concept_pos(concept, i0):
+                        raise ConsistencyError(
+                            f"extension {ctx._labelled(concept)} of slice concept "
+                            f"{ctx._labelled(pos)} is not a concept"
+                        )
+                    intro = bucket[concept] = {}
+                intro.setdefault(i0 + 1, []).append(x)
     # Elements arrive in ascending order, each at most once per concept: the
     # slice concepts at x have pairwise different widths.
     return tuple(

@@ -144,6 +144,32 @@ class TestSlice:
                     )
                     assert ctx.slice(d.index, x).relation_size == expected
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 3, 3), (2, 3, 4), (4, 2, 3), (2, 2, 3, 3), (1, 4, 2), (3, 1, 1, 2), (5, 5)],
+    )
+    def test_slice_equals_rebuilt_context(self, shape):
+        # Rows cut from the parent's rows must be laid out exactly as a
+        # context built from the filtered tuples lays them out.
+        for density, seed in [(0.3, 0), (0.3, 1), (0.7, 2), (0.0, 3), (1.0, 4)]:
+            ctx = generate_random(shape, density, seed)
+            tuples = ctx.tuples()
+            for i, d in enumerate(ctx.dims):
+                others = [(e.name, e.elements) for e in ctx.dims if e is not d]
+                for x in d.elements:
+                    sub = ctx.slice(d.index, x)
+                    ref = NContext(others, [t[:i] + t[i + 1 :] for t in tuples if t[i] == x])
+                    assert sub.dims == ref.dims
+                    assert [e.index for e in sub.dims] == list(range(1, len(shape)))
+                    assert sub._order == ref._order and sub._strides == ref._strides
+                    assert sub._wide == ref._wide and sub._ranked == ref._ranked
+                    assert len(sub._layers) == len(ref._layers)
+                    for got, want in zip(sub._layers, ref._layers):
+                        assert got == want, (shape, density, seed, d.name, x)
+                    assert sub.provenance == (d.name, x)
+                    assert sub.tuples() == ref.tuples()
+            assert [e.index for e in ctx.dims] == list(range(1, len(shape) + 1))
+
 
 FIG3_PROBES = [
     box("α", "1", "ab"), box("β", "13", "a"), box("αβ", "123", "a"),

@@ -281,6 +281,30 @@ class TestConsistencyChecks:
             introducer_dim(fig3, 1)
 
 
+def test_one_concept_test_per_record(monkeypatch):
+    # A concept reached from several slices is tested on its first arrival
+    # only: 1,543 tests for these 337 records when each arrival was tested.
+    calls = []
+    is_concept = NContext._is_concept_pos
+
+    def counted(self, pos, derived=None):
+        calls.append(pos)
+        return is_concept(self, pos, derived)
+
+    monkeypatch.setattr(NContext, "_is_concept_pos", counted)
+    records = 0
+    for density in (0.2, 0.4, 0.6):
+        for seed in range(8):
+            ctx = generate_random((2, 2, 3, 3), density, seed)
+            before = len(calls)
+            found = introducers(ctx)
+            tested = calls[before:]
+            assert len(tested) == len(set(tested)) == len(found)
+            assert set(tested) == {ctx.sort_key(r.concept) for r in found}
+            records += len(found)
+    assert len(calls) == records == 337
+
+
 def _insert(components, at, values):
     comps = list(components)
     comps.insert(at, values)
