@@ -104,10 +104,7 @@ def cmd_concepts(args) -> int:
 
 def cmd_introducers(args) -> int:
     ctx = _load(args.input)
-    if args.dim is not None:
-        records = introducer_dim(ctx, args.dim)
-    else:
-        records = introducers(ctx)
+    records = introducers(ctx) if args.dim is None else introducer_dim(ctx, args.dim)
     if args.nontrivial:
         records = nontrivial_filter(records)
     sys.stdout.write(serialize_concepts(ctx, records, args.format))
@@ -141,8 +138,7 @@ def cmd_stats(args) -> int:
     records = introducers(ctx)
     t2 = time.perf_counter()
 
-    out = []
-    out.append(f"dimensions: {ctx.arity}")
+    out = [f"dimensions: {ctx.arity}"]
     for d in ctx.dims:
         out.append(f"  {d.index} {d.name}: {len(d)} elements")
     out.append(f"relation: {ctx.relation_size} tuples")
@@ -292,32 +288,40 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.  A one-command
-    parser still lists every command in its usage line."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` given the arguments and the handler of command ``name``."""
+    _, handler, arguments = COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  ``main`` builds it only for help, for no
+    or an unknown command and for arguments left over, so its errors stand."""
     parser = argparse.ArgumentParser(
         prog="polyconcept",
         description="n-dimensional concept enumeration and introducer analysis",
     )
-    # a metavar on the full build would change its "required" and "invalid choice" errors
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        help_text, handler, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command named by ``argv`` (default ``sys.argv[1:]``), parsed by
+    that command's own parser, which acts as its sub-parser of ``build_parser``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["--"]:  # one leading "--" is accepted; the command follows it
         del argv[0]
-    # build the named command's parser only; anything else needs the full one
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"polyconcept {name}"), name)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if name not in COMMANDS or rest:  # the full parser prints help and root errors
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InputError, OSError, OracleInfeasibleError) as exc:

@@ -58,15 +58,10 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
     some width component is empty that is all of the dimension.
     """
     i0 = ctx._dim0(dim)
-    if isinstance(width, ComponentTuple):
-        comps = width.components
-    else:
-        comps = tuple(width)
+    comps = width.components if isinstance(width, ComponentTuple) else tuple(width)
     others = [d for j, d in enumerate(ctx.dims) if j != i0]
     if len(comps) != len(others):
-        raise InputError(
-            f"width has {len(comps)} components, expected {len(others)}"
-        )
+        raise InputError(f"width has {len(comps)} components, expected {len(others)}")
     ext = ctx._extend_pos(i0, [d._positions(c) for d, c in zip(others, comps)])
     return tuple(ctx.dims[i0].elements[p] for p in ext)
 

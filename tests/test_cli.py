@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour via real subprocesses, plus in-process
 checks of failures that a subprocess cannot provoke and of argument parsing."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from conftest import FIXTURES, box, long_thin_context
 from test_acceptance import CLI_INVOCATIONS
@@ -173,29 +175,61 @@ def test_help_lists_every_command():
     assert "--cap CAP" in res.stdout
 
 
-def _outcome(argv, capsys):
+def _outcome(argv, capsys, run=cli.main):
     try:
-        status = cli.main(argv)
+        status = run(argv)
     except SystemExit as exc:
         status = exc.code
     return (status, *capsys.readouterr())
 
 
+def _full_parser_run(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# each command's complete line, on inputs it runs on without error
+COMPLETE = {
+    "concepts": [FIG3_TSV], "introducers": [FIG3_TSV], "order": [FIG1_TSV, "--dim", "1"],
+    "gsh": [FIG1_CSV], "stats": [FIG3_TSV], "verify": [FIG1_CSV],
+    "gen": ["--sizes", "2,3", "--density", "0.5", "--seed", "1"],
+}
+
+
 def test_one_command_parser_behaves_as_full_parser(monkeypatch, capsys):
-    # A complete command line plus an unknown option reaches the root
-    # parser's "unrecognized arguments" error, which prints the root usage
-    # line with every command in it.
-    complete = {name: ["F"] for name in cli.COMMANDS}
-    complete["order"] += ["--dim", "1"]
-    complete["gen"] = ["--sizes", "2", "--density", "0.5", "--seed", "1"]
-    argvs = [[], ["--help"], ["nosuchcommand"], ["verify", "F", "--cap", "x"],
-             ["gen", "--sizes", "2", "--density", "x", "--seed", "1"], ["order", "F"]]
-    for name, args in complete.items():
-        argvs += [[name, "--help"], [name], [name, *args, "--bogus"]]
-    one = [_outcome(argv, capsys) for argv in argvs]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert [_outcome(argv, capsys) for argv in argvs] == one
+    # main parses a named command with that command's parser alone; whatever
+    # the line, its outcome is that of the full parser and the handler.  A
+    # complete line plus an unknown argument reaches the root parser's
+    # "unrecognized arguments" error, with every command in its usage line.
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    argvs = [[], ["--help"], ["-x"], ["nosuchcommand"], ["verify", FIG1_CSV, "--cap", "x"],
+             ["gen", "--sizes", "2", "--density", "x", "--seed", "1"], ["order", FIG1_TSV],
+             ["concepts", "--", FIG3_TSV], ["concepts", FIG3_TSV, "--", "-y"],
+             ["concepts", FIG3_TSV, "--format=structured"], ["concepts", FIG3_TSV, "--form", "text"],
+             ["verify", FIG1_CSV, "--ca", "0"], ["introducers", FIG3_TSV, "--non"],
+             ["concepts", FIG3_TSV, "extra"], ["concepts", FIG3_TSV, "-x"],
+             ["concepts", FIG3_TSV, "--format"]]
+    for name, args in COMPLETE.items():
+        argvs += [[name, "--help"], [name], [name, *args], [name, *args, "-h"],
+                  [name, *args, "--bogus"]]
+    for argv in argvs:
+        assert _outcome(argv, capsys) == _outcome(argv, capsys, _full_parser_run), argv
+
+
+def test_a_valid_command_line_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name, args in COMPLETE.items():
+        built.clear()
+        assert cli.main([name, *args]) == 0
+        assert built == [f"polyconcept {name}"]
+    capsys.readouterr()
 
 
 def test_leading_separator_before_the_command(capsys):

@@ -8,7 +8,7 @@ unicode labels.  Runs are derandomized, so every run checks the same examples.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyconcept import (
@@ -58,7 +58,8 @@ NAMES = st.text(ALPHABET, min_size=1, max_size=3).filter(
 
 
 @st.composite
-def contexts(draw, min_arity=1):
+def drawn_cells(draw, min_arity=1):
+    """``(dims, cells)``: (name, labels) pairs and distinct label tuples."""
     n = draw(st.integers(min_arity, 4))
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
     sizes = [draw(st.integers(1, 3)) for _ in range(n)]
@@ -73,7 +74,11 @@ def contexts(draw, min_arity=1):
     if fill == "partial":
         rng = draw(st.randoms(use_true_random=True))
         cells = [c for c in cells if rng.random() < 0.5]
-    return NContext(dims, cells if fill != "empty" else [])
+    return dims, cells if fill != "empty" else []
+
+
+def contexts(min_arity=1):
+    return drawn_cells(min_arity).map(lambda drawn: NContext(*drawn))
 
 
 @PROPERTY
@@ -178,6 +183,29 @@ def test_membership_size_and_hash_agree_with_tuples(ctx):
     if tuples:
         fewer = NContext(dims, tuples[1:])
         assert fewer != ctx and not fewer.has(tuples[0])
+
+
+@PROPERTY
+@given(drawn_cells())
+@example(([("a", []), ("b", ["x"]), ("c", ["y", "z"])], []))
+@example(([("a", ["x"]), ("b", ["y"])], [("x", "y")]))
+@example(([("a", ["x"]), ("b", ["p", "q", "r"]), ("c", ["s", "t"])], [("x", "q", "t")]))
+def test_bit_rows_of_every_dimension_decode_to_the_drawn_cells(drawn):
+    # Held to the input, not to ctx.tuples(), which reads these same rows.
+    dims, cells = drawn
+    ctx = NContext(dims, cells)
+    sizes = [len(elements) for _, elements in dims]
+    want = sorted(tuple(e.index(x) for (_, e), x in zip(dims, c)) for c in cells)
+    for i, rows in enumerate(ctx._layers):
+        assert len(rows) == sizes[i]
+        radix = list(zip(ctx._strides[i], sizes[:i] + sizes[i + 1 :]))
+        got = []
+        for x, row in enumerate(rows):
+            for c in range(row.bit_length()):
+                if row >> c & 1:
+                    rest = [c // s % n for s, n in radix]
+                    got.append((*rest[:i], x, *rest[i:]))
+        assert sorted(got) == want, (i, dims, cells)
 
 
 @PROPERTY
