@@ -9,16 +9,23 @@ are the maximal full boxes of that set of label cells, and introducers come
 from the pairwise definition over them, written with frozensets.
 """
 
+import hashlib
 import itertools
 
 from hypothesis import given
 
 from polyconcept import (
+    NContext,
     brute_force_concepts,
+    check_n_ordered,
+    dimension_diagram,
     enumerate_concepts,
+    export_dot,
     extend_height,
+    generate_random,
     introducer_oracle,
     introducers,
+    serialize_concepts,
 )
 
 from test_properties import PROPERTY, contexts
@@ -119,3 +126,63 @@ def test_routes_equal_the_definition_on_the_sweep(sweep_results):
     # seeds 0, 10, ..., 90 of every shape and density
     for res in sweep_results[::10]:
         check_against_definition(res["ctx"], res)
+
+
+# Degenerate shapes beside the sweep (whose SWEEP_* stay as they are):
+# 1-ary contexts, one-element dimensions, a zero-element dimension, empty
+# and full relations, arity up to 6.
+DEGENERATE_SHAPES = [
+    (1,), (5,), (12,), (1, 1), (1, 4), (4, 1), (2, 12), (3, 1, 2), (1, 1, 1),
+    (1, 2, 1, 3), (2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 2), (2, 1, 2, 1, 2, 2),
+    (2, 2, 2, 2, 2, 2), (3, 2, 1, 2, 2, 3),
+    (0,), (0, 3), (2, 0, 2), (3, 2, 0),
+]
+DEGENERATE_FILLS = [(0.0, 0), (1.0, 0), (0.5, 1), (0.5, 2), (0.5, 3)]
+
+
+def degenerate_contexts():
+    """Every shape at every (density, seed) fill; a shape with a
+    zero-element dimension has only the empty relation."""
+    for shape in DEGENERATE_SHAPES:
+        if 0 in shape:
+            names = [(f"dim{k + 1}", [f"{chr(97 + k)}{j + 1}" for j in range(s)])
+                     for k, s in enumerate(shape)]
+            yield NContext(names)
+        else:
+            for density, seed in DEGENERATE_FILLS:
+                yield generate_random(shape, density, seed)
+
+
+def _degenerate_outputs(ctx):
+    """Concepts, introducer records, and per member list the axiom report
+    and every dimension's DOT, as text."""
+    concepts = enumerate_concepts(ctx)
+    lists = [tuple(concepts)]
+    if ctx.arity > 1:
+        lists.append(introducers(ctx))
+    out = [repr(ctx.tuples())]
+    for members in lists:
+        out.append(repr(members))
+        out.append(serialize_concepts(ctx, members))
+        out.append(repr(check_n_ordered(members)))
+        for d in ctx.dims:
+            out.append(export_dot(ctx, dimension_diagram(ctx, members, d.index)))
+    return out
+
+
+# Every output over the degenerate set.  A change that alters output on
+# purpose updates this digest.
+DEGENERATE_DIGEST = "64941ad8fdf28a78d8b9d8d28c7d47ff3e336de2f0c7ee7827d71aeeff3ae56f"
+
+
+def test_degenerate_shapes_equal_the_definition():
+    for ctx in degenerate_contexts():
+        check_against_definition(ctx, _routes(ctx))
+
+
+def test_degenerate_outputs_are_identical():
+    h = hashlib.sha256()
+    for ctx in degenerate_contexts():
+        for text in _degenerate_outputs(ctx):
+            h.update((text + "\n").encode())
+    assert h.hexdigest() == DEGENERATE_DIGEST
