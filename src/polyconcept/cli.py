@@ -24,7 +24,6 @@ from .concepts import (
 from .context import InputError, NContext
 from .formats import (
     ParseError,
-    _format_member,
     export_dot,
     format_concept,
     format_record,
@@ -81,7 +80,7 @@ def _write_diagram(ctx, diagram, fmt: str, name: str) -> None:
     lines = [f"dimension: {diagram.dimension} {ctx.dims[diagram.dimension - 1].name}"]
     for k, node in enumerate(diagram.nodes):
         comp = " ".join(node.component) if node.component else "∅"
-        members = "; ".join(_format_member(ctx, m) for m in node.members)
+        members = "; ".join(format_record(ctx, m) for m in node.members)
         lines.append(f"class {k} [{comp}]: {members}")
     for lo, hi in diagram.edges:
         lines.append(f"edge: {lo} -> {hi}")

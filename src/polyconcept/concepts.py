@@ -125,13 +125,10 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, boxed: bool, lv: 
     up, since the rows of A cover D and those below j do not.  With two
     dimensions the closed pairs are the concepts; with more, each concept T
     of C as an (n-1)-ary relation gives the concept (A, T) iff no row
-    outside A covers T's box.  A 1-ary relation is its own single concept.
-    Box masks are built only when ``boxed``, as cells times the spread of A
-    (bit ``b * stride`` per row b of A) carried on the stack.
+    outside A covers T's box, so the levels nest down to two dimensions and
+    never reach one.  Box masks are built only when ``boxed``, as cells times
+    the spread of A (bit ``b * stride`` per row b of A) carried on the stack.
     """
-    if lv + 1 == len(sizes):
-        yield (rel,), rel
-        return
     n, stride, last = sizes[lv], cells[lv], lv + 2 == len(sizes)
     full = (1 << stride) - 1
     rows = [rel >> b * stride & full for b in range(n)]
@@ -178,8 +175,12 @@ def closed_tuples(
     dimension, and components come out in original order.  The arguments
     are what ``NContext._search_input`` returns, whose sizes ascend, so
     every level of the nested search has the smallest dimension left as its
-    outer one, which bounds the cost of a closure.
+    outer one, which bounds the cost of a closure.  A 1-ary relation is its
+    own single concept and is yielded without a search.
     """
+    if len(sizes) == 1:
+        yield (_elements(rel),)
+        return
     back = [0] * len(order)
     for k, o in enumerate(order):
         back[o] = k

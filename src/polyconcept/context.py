@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import and_, ge, getitem, index, mul
+from itertools import repeat
+from operator import add, and_, ge, getitem, index, mul
 from typing import Iterable, Sequence
 
 MAX_ARITY = 500  # the concept search nests one generator per dimension
@@ -45,7 +46,7 @@ def check_label(label: str) -> str:
     """
     if not isinstance(label, str) or not label:
         raise InputError(f"labels must be non-empty strings, got {label!r}")
-    if any(ch.isspace() for ch in label) or "," in label:
+    if label.split() != [label] or "," in label:
         raise InputError(f"label {label!r} contains whitespace or a comma")
     if label[0] in "#!\ufeff":
         raise InputError(f"label {label!r} may not start with {label[0]!r}")
@@ -231,7 +232,9 @@ class NContext:
         The rows of dimension i flatten the product of the other dimensions
         as ``_layout`` orders them (``_order[i]``, ``_strides[i]``).  Each
         tuple sets one bit of one row per dimension: in the rows of dimension
-        i, bit ``sum(p_j * stride_ij)`` over its fields, with stride 0 for i.
+        i, bit ``sum(p_j * stride_ij)`` over its fields j != i.  The tuples
+        are transposed once into columns, and each dimension's offsets are
+        summed column by column, skipping one-element dimensions (p_j = 0).
         """
         if not dims:
             raise ArityError("a context needs at least one dimension")
@@ -240,10 +243,13 @@ class NContext:
             raise InputError(f"dimension names must be unique, got {names}")
         self._shape(dims, provenance)
         self._layers: list[list[int]] = [[0] * len(d) for d in dims]
-        spread = [st[:i] + (0,) + st[i:] for i, st in enumerate(self._strides)]
-        for t in rel:
-            for p, layer, st in zip(t, self._layers, spread):
-                layer[p] |= 1 << sum(map(mul, t, st))
+        cols = list(zip(*rel))
+        for i, layer in enumerate(self._layers if cols else ()):
+            strides, offsets = self._strides[i], repeat(0)
+            for k in self._wide[i]:  # k counts the dimensions other than i
+                offsets = list(map(add, offsets, map(strides[k].__mul__, cols[k + (k >= i)])))
+            for p, o in zip(cols[i], offsets):
+                layer[p] |= 1 << o
 
     def _shape(self, dims: tuple[Dimension, ...], provenance) -> None:
         """Set checked dimensions and the layout of each one's rows."""

@@ -93,7 +93,7 @@ def _separator(raw: str) -> str | None:
 
 
 def _fields(raw: str, sep: str) -> list[str]:
-    return [f.strip() for f in raw.split(sep)]
+    return list(map(str.strip, raw.split(sep)))
 
 
 def parse_tuples(text: str) -> NContext:
@@ -213,12 +213,8 @@ def serialize_tuples(ctx: NContext) -> str:
     return "\n".join(out) + "\n"
 
 
-def _component_str(dim: Dimension, labels: Sequence[str]) -> str:
-    return dim._sep.join(labels) if labels else "∅"
-
-
 def _components_str(dims: Sequence[Dimension], components) -> str:
-    return "(" + ", ".join(map(_component_str, dims, components)) + ")"
+    return "(" + ", ".join([d._sep.join(c) if c else "∅" for d, c in zip(dims, components)]) + ")"
 
 
 def format_concept(ctx: NContext, t: ComponentTuple) -> str:
@@ -226,24 +222,15 @@ def format_concept(ctx: NContext, t: ComponentTuple) -> str:
     return _components_str(ctx.dims, t.components)
 
 
-def _format_introduces(ctx: NContext, record: IntroducerRecord) -> str:
-    parts = [
-        f"{ctx.dims[d - 1].name}: {' '.join(labels)}"
-        for d, labels in record.introduces
-    ]
-    return "introduces " + "; ".join(parts)
-
-
-def format_record(ctx: NContext, record: IntroducerRecord) -> str:
-    """One-line rendering of an introducer record with its annotations."""
-    return f"{format_concept(ctx, record.concept)} {_format_introduces(ctx, record)}"
-
-
-def _format_member(ctx: NContext, member) -> str:
-    """A diagram member on one line: a record with its annotations, or a concept."""
-    if isinstance(member, IntroducerRecord):
-        return format_record(ctx, member)
-    return format_concept(ctx, member)
+def format_record(ctx: NContext, member, sep: str = " ") -> str:
+    """One-line rendering of a member: a concept as ``format_concept`` gives
+    it, or an introducer record's concept, ``sep`` and its annotations:
+    ``(αβ, 13, a) introduces dim1: α; dim2: 1 3``."""
+    if not isinstance(member, IntroducerRecord):
+        return _components_str(ctx.dims, member.components)
+    dims = ctx.dims
+    notes = "; ".join([f"{dims[d - 1].name}: {' '.join(xs)}" for d, xs in member.introduces])
+    return f"{_components_str(dims, member.concept.components)}{sep}introduces {notes}"
 
 
 def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
@@ -267,9 +254,7 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     lines = []
     for components, record in pairs:
         if fmt == "text":
-            line = _components_str(dims, components)
-            if record:
-                line += "\t" + _format_introduces(ctx, record)
+            line = format_record(ctx, record, "\t") if record else _components_str(dims, components)
         elif fmt == "structured":
             doc: dict = {"components": [list(c) for c in components]}
             if record:
@@ -294,7 +279,7 @@ def export_dot(ctx: NContext, diagram: DimensionDiagram, name: str = "diagram") 
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for k, node in enumerate(diagram.nodes):
-        label = "\\n".join(_dot_escape(_format_member(ctx, m)) for m in node.members)
+        label = "\\n".join([_dot_escape(format_record(ctx, m)) for m in node.members])
         lines.append(f'  n{k} [label="{label}"];')
     for lo, hi in diagram.edges:
         lines.append(f"  n{lo} -> n{hi};")

@@ -77,35 +77,32 @@ def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
         for x in range(len(elements)):
             for width in closed_tuples(*ctx._search_input(i0, x)):
                 ext = ctx._extend_pos(i0, width)
-                pos = width[:i0] + ((x,),) + width[i0:]
                 concept = width[:i0] + (ext,) + width[i0:]
                 if x not in ext:
-                    raise ConsistencyError(
-                        f"extension of {ctx._labelled(pos)} lost {elements[x]!r}"
-                    )
+                    pos = ctx._labelled(width[:i0] + ((x,),) + width[i0:])
+                    raise ConsistencyError(f"extension of {pos} lost {elements[x]!r}")
                 intro = bucket.get(concept)
                 if intro is None:
                     # ext is the extension through i0 of the other components,
                     # so only the other dimensions can fail to be maximal.
                     if not ctx._is_concept_pos(concept, i0):
+                        pos = ctx._labelled(width[:i0] + ((x,),) + width[i0:])
                         raise ConsistencyError(
                             f"extension {ctx._labelled(concept)} of slice concept "
-                            f"{ctx._labelled(pos)} is not a concept"
+                            f"{pos} is not a concept"
                         )
                     intro = bucket[concept] = {}
                 intro.setdefault(i0 + 1, []).append(x)
-    # Elements arrive in ascending order, each at most once per concept: the
-    # slice concepts at x have pairwise different widths.
-    return tuple(
+    # Dimensions arrive in ascending order, and elements too, each at most
+    # once per concept: the slice concepts at x have pairwise different widths.
+    label = [d.elements.__getitem__ for d in ctx.dims]
+    return tuple([
         IntroducerRecord(
             ctx._labelled(concept),
-            tuple(
-                (d, tuple(ctx.dims[d - 1].elements[x] for x in xs))
-                for d, xs in sorted(intro.items())
-            ),
+            tuple([(d, tuple(map(label[d - 1], xs))) for d, xs in intro.items()]),
         )
         for concept, intro in sorted(bucket.items())
-    )
+    ])
 
 
 def introducer_dim(ctx: NContext, dim) -> tuple[IntroducerRecord, ...]:

@@ -10,9 +10,10 @@ group members into equivalence classes (equal component) and draw the
 covering relation of the classes after transitive reduction.
 
 Both are built from one kernel, ``_inclusion``: for each of a list of
-components, the bitset of the positions whose component contains it.  The
-diagrams need only that direction; the axiom check also needs the positions
-each component contains, which ``_up_down`` derives from the same bitsets.
+components, given as element indices, the bitset of the positions whose
+component contains it.  The diagrams need only that direction; the axiom
+check also needs the positions each component contains, which ``_up_down``
+derives from the same bitsets.
 """
 
 from __future__ import annotations
@@ -34,34 +35,37 @@ def _tuple_of(member) -> ComponentTuple:
     )
 
 
-def _inclusion(comps: Sequence[Sequence]) -> tuple[dict, dict]:
+def _inclusion(comps: Sequence[tuple[int, ...]], size: int) -> tuple[dict, list[int]]:
     """For each distinct component c, in order of first appearance, the
-    positions whose component contains c: the AND over c's labels of
-    ``has[label]``, the positions holding the label, which is also returned."""
+    positions whose component contains c: the AND over c's elements of
+    ``has[x]``, the positions holding element x, which is also returned.
+    Components are tuples of element indices below ``size``."""
     everyone = (1 << len(comps)) - 1
-    has: dict = {}
+    has = [0] * size
     for p, comp in enumerate(comps):
-        for label in comp:
-            has[label] = has.get(label, 0) | 1 << p
+        bit = 1 << p
+        for x in comp:
+            has[x] |= bit
     up = {}
     for comp in dict.fromkeys(comps):
         above = everyone
-        for label in comp:
-            above &= has[label]
+        for x in comp:
+            above &= has[x]
         up[comp] = above
     return up, has
 
 
-def _up_down(comps: Sequence[Sequence]) -> tuple[list[int], list[int], int]:
+def _up_down(comps: Sequence[tuple[int, ...]], size: int) -> tuple[list[int], list[int], int]:
     """Per position p, the positions whose component contains ``comps[p]``,
-    those it contains, and the number of comparable pairs.  The second are
-    found whichever way takes fewer bitset steps: transposing the first (one
-    per set bit) or ORing the holders of each label a component lacks (one
-    per missing label)."""
-    above, has = _inclusion(comps)
+    those it contains, and the number of comparable pairs; components are
+    tuples of element indices below ``size``.  The second are found whichever
+    way takes fewer bitset steps: transposing the first (one per set bit) or
+    ORing the holders of each element a component lacks (one per missing
+    element)."""
+    above, has = _inclusion(comps, size)
     up = [above[c] for c in comps]
     pairs = sum(map(int.bit_count, up))
-    if pairs <= len(above) * len(has) - sum(map(len, above)):
+    if pairs <= len(above) * size - sum(map(len, above)):
         cols = [0] * len(up)
         for p, row in enumerate(up):
             bit = 1 << p
@@ -69,13 +73,21 @@ def _up_down(comps: Sequence[Sequence]) -> tuple[list[int], list[int], int]:
                 cols[q] |= bit
         return up, cols, pairs
     everyone = (1 << len(comps)) - 1
+    elements = set(range(size))
     down = {}
     for comp in above:
         lacks = 0
-        for label in has.keys() - comp:
-            lacks |= has[label]
+        for x in elements.difference(comp):
+            lacks |= has[x]
         down[comp] = everyone & ~lacks
     return up, [down[comp] for comp in comps], pairs
+
+
+def _numbered(comps: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """Label components as index components, each label numbered as first
+    seen, and the count of distinct labels."""
+    seen: dict = {}
+    return [tuple([seen.setdefault(lb, len(seen)) for lb in comp]) for comp in comps], len(seen)
 
 
 @dataclass(frozen=True)
@@ -106,13 +118,20 @@ def check_n_ordered(members: Sequence) -> OrderReport:
 
     Per dimension, ``_up_down`` gives the members above and below each
     member; the axioms are then unions and intersections of those bitsets.
+    Its index components are the keys the members carry when they all come
+    from one context, else their labels numbered as first seen.
     """
     tuples = [_tuple_of(m) for m in members]
     n = tuples[0].arity if tuples else 0
     if any(t.arity != n for t in tuples):
         raise InputError("members have mixed arity")
     everyone = (1 << len(tuples)) - 1
-    rel = [_up_down([t.components[i] for t in tuples]) for i in range(n)]
+    dims = tuples[0]._dims if tuples else None
+    if dims is not None and all(t._dims is dims for t in tuples):
+        columns = zip(zip(*[t._key for t in tuples]), map(len, dims))
+    else:
+        columns = [_numbered([t.components[i] for t in tuples]) for i in range(n)]
+    rel = [_up_down(comps, size) for comps, size in columns]
     sizes = tuple(pairs - len(tuples) for _, _, pairs in rel)
 
     uniq: set[tuple[ComponentTuple, ComponentTuple]] = set()
@@ -187,7 +206,7 @@ def dimension_diagram(ctx: NContext, members: Sequence, dim) -> DimensionDiagram
         for c in comps
     )
     rank = sorted(range(len(comps)), key=lambda a: len(comps[a]))
-    up = list(_inclusion([comps[a] for a in rank])[0].values())  # in rank order
+    up = list(_inclusion([comps[a] for a in rank], len(ctx.dims[i0]))[0].values())  # in rank order
     edges = []
     for r, above in enumerate(up):
         above &= ~(1 << r)

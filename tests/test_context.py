@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,8 @@ from polyconcept import (
     serialize_concepts,
 )
 
+from polyconcept.context import check_label
+
 from conftest import box
 
 
@@ -37,6 +40,15 @@ class TestConstruction:
     def test_dimension_rejects_bad_labels(self, bad):
         with pytest.raises(InputError):
             Dimension(1, "d", ("ok", bad))
+
+    def test_label_whitespace_is_what_isspace_says_over_all_of_unicode(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        solid = "".join(ch for ch in chars if not ch.isspace())
+        assert solid.split() == [solid]
+        assert check_label(solid.replace(",", "")) == solid.replace(",", "")
+        for ch in filter(str.isspace, chars):
+            with pytest.raises(InputError, match="whitespace"):
+                check_label(f"a{ch}b")
 
     def test_relation_tuple_must_use_declared_elements(self):
         with pytest.raises(InputError):

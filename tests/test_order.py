@@ -1,5 +1,6 @@
 """Quasi-orders, the two structural axioms, and covering diagrams."""
 
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from polyconcept import (
     generate_random,
     gsh_2d,
     introducers,
+    parse_context,
+    serialize_tuples,
 )
 
 from conftest import FIG1_COVER_EDGES, FIG1_GSH_EDGES, box
@@ -349,3 +352,45 @@ class TestGsh2d:
     def test_arity_guard(self, fig3):
         with pytest.raises(ArityError):
             gsh_2d(fig3)
+
+
+class TestIndexSources:
+    """``check_n_ordered`` reads the index keys of members that one context
+    made, and numbers the labels of any other list as first seen; the two
+    give one report."""
+
+    @staticmethod
+    def _variants(ctx, members):
+        """The library-made members, their pickle round trips and box
+        rebuilds (no key), and a list mixing them with an equal context's."""
+        twin = parse_context(serialize_tuples(ctx))  # equal, but other dims
+        tuples = [_tuple(m) for m in members]
+        yield members
+        yield pickle.loads(pickle.dumps(members))
+        yield [ctx.box(*t.components) for t in tuples]
+        yield [twin._labelled(ctx.sort_key(t)) if p % 2 else t for p, t in enumerate(tuples)]
+
+    def _check(self, ctx, members):
+        made, *others = self._variants(ctx, members)
+        assert all(_tuple(m)._dims is ctx.dims for m in made)
+        report = check_n_ordered(made)
+        uniq, anti, sizes = _pairwise_reference([_tuple(m) for m in made], ctx.arity)
+        assert report.uniqueness_violations == uniq
+        assert report.antiordinal_violations == anti
+        assert report.per_dimension_relation_sizes == sizes
+        for members in others:
+            assert not all(_tuple(m)._dims is ctx.dims for m in members)
+            assert check_n_ordered(members) == report
+        return report
+
+    def test_introducers_with_a_duplicated_member(self):
+        ctx = generate_random((6, 5, 4), 0.5, 3)
+        records = list(introducers(ctx))
+        report = self._check(ctx, records + records[2:3])
+        assert report.uniqueness_violations and report.antiordinal_ok
+
+    def test_hand_built_list_breaking_antiordinal_dependency(self, fig1):
+        # labels first seen out of element order: c, b before a
+        keys = [((2,), (2,)), ((1, 2), (1, 2)), ((0, 1, 2), (0,)), ((0, 1), ())]
+        report = self._check(fig1, [fig1._labelled(k) for k in keys])
+        assert report.antiordinal_violations and report.uniqueness_ok

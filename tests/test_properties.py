@@ -1,8 +1,8 @@
 """Property tests over generated contexts, against the exhaustive oracles.
 
-Contexts have arity 1-4 and up to three elements per dimension, including
-zero-size dimensions, empty, full and partial relations, and multi-character
-unicode labels.  Runs are derandomized, so every run checks the same examples.
+Contexts have arity 1-4 (1-6 where bit rows are decoded) and up to three
+elements per dimension, including zero-size dimensions, empty, full and
+partial relations, and multi-character unicode labels.  Runs are derandomized, so every run checks the same examples.
 """
 
 import itertools
@@ -58,9 +58,9 @@ NAMES = st.text(ALPHABET, min_size=1, max_size=3).filter(
 
 
 @st.composite
-def drawn_cells(draw, min_arity=1):
+def drawn_cells(draw, min_arity=1, max_arity=4):
     """``(dims, cells)``: (name, labels) pairs and distinct label tuples."""
-    n = draw(st.integers(min_arity, 4))
+    n = draw(st.integers(min_arity, max_arity))
     names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
     sizes = [draw(st.integers(1, 3)) for _ in range(n)]
     if draw(st.integers(0, 5)) == 0:  # now and then one zero-size dimension
@@ -186,7 +186,7 @@ def test_membership_size_and_hash_agree_with_tuples(ctx):
 
 
 @PROPERTY
-@given(drawn_cells())
+@given(drawn_cells(max_arity=6))
 @example(([("a", []), ("b", ["x"]), ("c", ["y", "z"])], []))
 @example(([("a", ["x"]), ("b", ["y"])], [("x", "y")]))
 @example(([("a", ["x"]), ("b", ["p", "q", "r"]), ("c", ["s", "t"])], [("x", "q", "t")]))
