@@ -77,19 +77,20 @@ def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
         for x in range(len(elements)):
             for width in closed_tuples(*ctx._search_input(i0, x)):
                 ext = ctx._extend_pos(i0, width)
+                pos = width[:i0] + ((x,),) + width[i0:]
                 concept = width[:i0] + (ext,) + width[i0:]
                 if x not in ext:
-                    pos = ctx._labelled(width[:i0] + ((x,),) + width[i0:])
-                    raise ConsistencyError(f"extension of {pos} lost {elements[x]!r}")
+                    raise ConsistencyError(
+                        f"extension of {ctx._labelled(pos)} lost {elements[x]!r}"
+                    )
                 intro = bucket.get(concept)
                 if intro is None:
                     # ext is the extension through i0 of the other components,
                     # so only the other dimensions can fail to be maximal.
                     if not ctx._is_concept_pos(concept, i0):
-                        pos = ctx._labelled(width[:i0] + ((x,),) + width[i0:])
                         raise ConsistencyError(
                             f"extension {ctx._labelled(concept)} of slice concept "
-                            f"{pos} is not a concept"
+                            f"{ctx._labelled(pos)} is not a concept"
                         )
                     intro = bucket[concept] = {}
                 intro.setdefault(i0 + 1, []).append(x)
