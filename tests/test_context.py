@@ -25,7 +25,6 @@ from polyconcept import (
     introducers,
     serialize_concepts,
 )
-
 from polyconcept.context import check_label
 
 from conftest import box

@@ -2,7 +2,8 @@
 
 Contexts have arity 1-4 (1-6 where bit rows are decoded) and up to three
 elements per dimension, including zero-size dimensions, empty, full and
-partial relations, and multi-character unicode labels.  Runs are derandomized, so every run checks the same examples.
+partial relations, and multi-character unicode labels.  Runs are
+derandomized, so every run checks the same examples.
 """
 
 import itertools

@@ -145,9 +145,9 @@ def degenerate_contexts():
     zero-element dimension has only the empty relation."""
     for shape in DEGENERATE_SHAPES:
         if 0 in shape:
-            names = [(f"dim{k + 1}", [f"{chr(97 + k)}{j + 1}" for j in range(s)])
-                     for k, s in enumerate(shape)]
-            yield NContext(names)
+            dims = [(f"dim{k + 1}", [f"{chr(97 + k)}{j + 1}" for j in range(s)])
+                    for k, s in enumerate(shape)]
+            yield NContext(dims)
         else:
             for density, seed in DEGENERATE_FILLS:
                 yield generate_random(shape, density, seed)
