@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
         pairs = [(format_concept(ctx, a), format_concept(ctx, b)) for a, b in violations]
         table[f"{axiom} axiom"] = _verdict(pairs)
 
-    keys = set(map(ctx.sort_key, found) if found._keys is None else found._keys)
+    keys = set(found._keys)
     strays = []
     for r in records:
         try:

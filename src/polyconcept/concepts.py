@@ -34,44 +34,21 @@ class ConceptLimitError(RuntimeError):
 class ConceptSet:
     """Deduplicated concepts of one context in a total canonical order.
 
-    The order is lexicographic over components, each component compared as
-    its tuple of element indices, so iteration is deterministic for a fixed
-    context no matter how the set was assembled.  A set the library builds
-    holds its context and the sorted index keys, and labels its members on
-    the first read of ``concepts``, iteration or indexing; it builds the
-    ``frozenset`` of labelled members on the first ``in``, ``==`` or
-    ``hash``.  Its length needs no label, and two such sets over equal
-    dimensions compare by their keys.
+    ``ConceptSet(ctx, keys)`` holds the index tuples of concepts of ``ctx``,
+    given in any order and with repeats, sorted and distinct, and checks
+    none of them.  Components compare as tuples of element indices, so
+    iteration is deterministic for a fixed context.  Members are labelled on
+    the first read of ``concepts``, iteration or indexing; ``in``, ``hash``
+    and ``==`` with a ``set`` or with a set over other dimensions compare
+    the ``frozenset`` of labelled members.  Its length, and ``==`` between
+    sets over equal dimensions, read only the keys.
     """
 
     __slots__ = ("_ctx", "_keys", "_concepts", "_as_set")
 
-    def __init__(self, concepts: tuple[ComponentTuple, ...]):
-        self._ctx = self._keys = None
-        self._concepts = concepts
-        self._as_set = frozenset(concepts)
-
-    @classmethod
-    def collect(cls, ctx: NContext, items: Iterable[ComponentTuple]) -> "ConceptSet":
-        """Deduplicate, verify and canonically sort members, each keyed once
-        with ``ctx.sort_key``, which rejects a tuple not canonical for ctx."""
-        return cls._of_keys(ctx, {ctx.sort_key(t) for t in items})
-
-    @classmethod
-    def _of_keys(cls, ctx: NContext, keys) -> "ConceptSet":
-        """Verify distinct index tuples and hold them sorted, unlabelled."""
-        for pos in keys:
-            if not ctx._is_concept_pos(pos):
-                raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
-        return cls._keyed(ctx, keys)
-
-    @classmethod
-    def _keyed(cls, ctx: NContext, keys) -> "ConceptSet":
-        """The set of distinct concepts of ctx given as index tuples, unchecked."""
-        self = object.__new__(cls)
-        self._ctx, self._keys = ctx, sorted(keys)
+    def __init__(self, ctx: NContext, keys: Iterable[tuple[tuple[int, ...], ...]]):
+        self._ctx, self._keys = ctx, sorted(set(keys))
         self._concepts = self._as_set = None
-        return self
 
     @property
     def concepts(self) -> tuple[ComponentTuple, ...]:
@@ -88,7 +65,7 @@ class ConceptSet:
         return iter(self.concepts)
 
     def __len__(self) -> int:
-        return len(self._concepts if self._keys is None else self._keys)
+        return len(self._keys)
 
     def __contains__(self, t) -> bool:
         return t in self._frozen()
@@ -98,8 +75,7 @@ class ConceptSet:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ConceptSet):
-            keyed = self._keys is not None and other._keys is not None
-            if keyed and self._ctx.dims == other._ctx.dims:
+            if self._ctx.dims == other._ctx.dims:
                 return self._keys == other._keys
             return self._frozen() == other._frozen()
         if isinstance(other, (set, frozenset)):
@@ -205,7 +181,10 @@ def enumerate_concepts(
         found.add(pos)
         if max_concepts is not None and len(found) > max_concepts:
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")
-    return ConceptSet._of_keys(ctx, found)
+    for pos in found:
+        if not ctx._is_concept_pos(pos):
+            raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
+    return ConceptSet(ctx, found)
 
 
 def oracle_cost(ctx: NContext) -> int:
@@ -254,4 +233,4 @@ def brute_force_concepts(
         # pos[k] is the extension of the others, so only they can fail.
         if ctx._is_concept_pos(pos, k):
             hits.add(pos)
-    return ConceptSet._keyed(ctx, hits)
+    return ConceptSet(ctx, hits)

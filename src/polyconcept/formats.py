@@ -242,14 +242,13 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     if fmt not in ("text", "structured"):
         raise InputError(f"unknown format {fmt!r}")
     dims = ctx.dims
-    if isinstance(items, ConceptSet) and items._keys is not None and items._ctx.dims == dims:
+    if isinstance(items, ConceptSet) and items._ctx.dims == dims:
         # labelled here from the sorted keys; no ComponentTuple is built
         label = [d.elements.__getitem__ for d in dims]
         pairs = [([*map(tuple, map(map, label, key))], None) for key in items._keys]
     else:
         pairs = [(m.concept, m) if isinstance(m, IntroducerRecord) else (m, None) for m in items]
-        if not isinstance(items, ConceptSet):
-            pairs.sort(key=lambda pair: ctx.sort_key(pair[0]))
+        pairs.sort(key=lambda pair: ctx.sort_key(pair[0]))
         pairs = [(t.components, record) for t, record in pairs]
     lines = []
     for components, record in pairs:

@@ -265,7 +265,7 @@ def test_verify_failure_is_exit_1(monkeypatch, capsys):
         if ctx.provenance is not None:
             return found
         kept = [t for t in found if t not in dropped] + added
-        return ConceptSet(tuple(sorted(kept, key=ctx.sort_key)))
+        return ConceptSet(ctx, map(ctx.sort_key, kept))
 
     monkeypatch.setattr(cli, "enumerate_concepts", faulty_concepts)
     monkeypatch.setattr(cli, "introducers", lambda ctx: introducers(ctx)[1:])

@@ -8,7 +8,6 @@ from polyconcept import (
     ArityError,
     ConceptLimitError,
     ConceptSet,
-    InputError,
     NContext,
     OracleInfeasibleError,
     Dimension,
@@ -206,17 +205,10 @@ def test_enumeration_is_deterministic():
 
 def test_concept_set_order_is_canonical(fig1):
     found = enumerate_concepts(fig1)
-    shuffled = list(reversed(found.concepts))
-    rebuilt = ConceptSet.collect(fig1, shuffled)
-    assert rebuilt.concepts == found.concepts
-
-
-def test_concept_set_rejects_non_concepts(fig1):
-    with pytest.raises(InputError):
-        ConceptSet.collect(fig1, [box("1", "a")])
-    # (1, ab) is a concept, but only in its canonical form
-    with pytest.raises(InputError):
-        ConceptSet.collect(fig1, [box("1", "ab"), box("1", "ba")])
+    keys = list(map(fig1.sort_key, reversed(found.concepts)))
+    rebuilt = ConceptSet(fig1, keys + keys[::2])
+    assert rebuilt.concepts == found.concepts and len(rebuilt) == len(found)
+    assert len(ConceptSet(fig1, [keys[0], keys[0]])) == 1
 
 
 def test_keyed_concept_set_counts_and_compares_without_labels(fig3, monkeypatch):
@@ -238,30 +230,32 @@ def test_keyed_concept_set_counts_and_compares_without_labels(fig3, monkeypatch)
 
 def test_keyed_and_labelled_concept_sets_are_interchangeable(fig1, fig3):
     for ctx, expected in ((fig1, FIG1_CONCEPTS), (fig3, FIG3_CONCEPTS)):
-        labelled = ConceptSet(tuple(sorted(expected, key=ctx.sort_key)))
+        labelled = frozenset(expected)
+        rebuilt = ConceptSet(ctx, map(ctx.sort_key, expected))
         # hashed before any member is read, then read
-        assert hash(enumerate_concepts(ctx)) == hash(labelled) == hash(frozenset(expected))
+        assert hash(enumerate_concepts(ctx)) == hash(rebuilt) == hash(labelled)
         found = enumerate_concepts(ctx)
         assert found == expected and expected == found
         assert found == labelled and labelled == found
-        assert hash(found) == hash(labelled)
-        assert found.concepts == labelled.concepts
-        assert list(found) == list(labelled) and found[-1] == labelled[-1]
+        assert found == rebuilt and rebuilt == found
+        assert found.concepts == rebuilt.concepts == tuple(sorted(expected, key=ctx.sort_key))
+        assert list(found) == list(rebuilt) and found[-1] == rebuilt[-1]
         assert all(t in found for t in expected)
-    # keyed sets over different dimensions compare by their labels
+    # sets over different dimensions compare by their labels
     renamed = NContext([("x", "123"), ("y", "abc")], fig1.tuples())
     assert enumerate_concepts(renamed) == enumerate_concepts(fig1)
 
 
 def test_differing_keyed_and_labelled_concept_sets_are_unequal(fig3):
     found = enumerate_concepts(fig3)
-    for other in (
-        ConceptSet(found.concepts[1:]),
-        ConceptSet(found.concepts[1:] + (box("αβ", "1", "a"),)),
-    ):
-        assert found != other and other != found
-        assert found != set(other)
+    fewer = found.concepts[1:]
+    stray = fewer + (box("αβ", "1", "a"),)  # a full box, not a concept
+    for members in (fewer, stray):
+        for other in (ConceptSet(fig3, map(fig3.sort_key, members)), frozenset(members)):
+            assert found != other and other != found
     assert found != enumerate_concepts(fig3.slice(1, "α"))
+    renamed = NContext([(d.name + "'", d.elements) for d in fig3.dims], fig3.tuples()[1:])
+    assert enumerate_concepts(renamed) != found
 
 
 def test_oracle_guard_refuses_large_contexts():

@@ -389,6 +389,19 @@ class TestSerializeConcepts:
                     ctx, list(found), fmt
                 ), (ctx, fmt)
 
+    def test_set_of_another_context_is_sorted_and_checked(self, fig1):
+        # Members of a set over other dimensions go through fig1's sort_key.
+        renamed = NContext([("x", "123"), ("y", "abc")], fig1.tuples())
+        for fmt in ("text", "structured"):
+            assert serialize_concepts(fig1, enumerate_concepts(renamed), fmt) == (
+                serialize_concepts(fig1, enumerate_concepts(fig1), fmt)
+            )
+        other = NContext([("x", ["x1", "x2"]), ("y", "ab")], [("x1", "a"), ("x2", "a")])
+        with pytest.raises(InputError):
+            serialize_concepts(fig1, enumerate_concepts(other))
+        with pytest.raises(InputError):
+            serialize_concepts(fig1, list(enumerate_concepts(other)))
+
     def test_record_text_carries_annotations(self, fig3):
         text = serialize_concepts(fig3, introducers(fig3))
         line = [l for l in text.splitlines() if l.startswith("(αβ, 13, a)")][0]

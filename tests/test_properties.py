@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from polyconcept import (
     ComponentTuple,
+    ConceptSet,
     Dimension,
     InputError,
     IntroducerRecord,
@@ -159,6 +160,20 @@ def test_permuting_dimensions_permutes_results(ctx, data):
             )
             for r in introducers(ctx)
         }
+
+
+@PROPERTY
+@given(contexts(), st.data())
+def test_concept_set_from_shuffled_repeated_keys(ctx, data):
+    found = enumerate_concepts(ctx)
+    keys = list(map(ctx.sort_key, found))
+    repeats = data.draw(st.lists(st.sampled_from(keys), max_size=4))
+    rebuilt = ConceptSet(ctx, data.draw(st.permutations(keys + repeats)))
+    members = frozenset(found.concepts)
+    assert len(rebuilt) == len(found) == len(members)
+    assert rebuilt.concepts == found.concepts == tuple(sorted(members, key=ctx.sort_key))
+    assert rebuilt == found and rebuilt == members and members == rebuilt
+    assert hash(rebuilt) == hash(found) == hash(members)
 
 
 @PROPERTY

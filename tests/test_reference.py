@@ -49,7 +49,7 @@ def _concepts_by_definition(ctx):
     domains = [d.elements for d in ctx.dims]
 
     def full(comps):
-        return all(cell in cells for cell in itertools.product(*comps))
+        return all(map(cells.__contains__, itertools.product(*comps)))
 
     found = set()
     for head in itertools.product(*map(_subsets, domains[:-1])):
@@ -140,10 +140,18 @@ DEGENERATE_SHAPES = [
 DEGENERATE_FILLS = [(0.0, 0), (1.0, 0), (0.5, 1), (0.5, 2), (0.5, 3)]
 
 
-def degenerate_contexts():
+# Arity 7 to 13, most dimensions of one element, pinned apart from the
+# shapes above so that DEGENERATE_DIGEST stays as it is.
+WIDE_DEGENERATE_SHAPES = [
+    (2,) * 7, (2, 1) * 4, (2, 2, 2) + (1,) * 8 + (2,), (1,) * 10 + (2, 3, 2),
+    (1,) * 11, (1,) * 6 + (0,) + (1,) * 5 + (2,),
+]
+
+
+def degenerate_contexts(shapes=DEGENERATE_SHAPES):
     """Every shape at every (density, seed) fill; a shape with a
     zero-element dimension has only the empty relation."""
-    for shape in DEGENERATE_SHAPES:
+    for shape in shapes:
         if 0 in shape:
             dims = [(f"dim{k + 1}", [f"{chr(97 + k)}{j + 1}" for j in range(s)])
                     for k, s in enumerate(shape)]
@@ -170,19 +178,25 @@ def _degenerate_outputs(ctx):
     return out
 
 
-# Every output over the degenerate set.  A change that alters output on
-# purpose updates this digest.
+# Every output over the degenerate set, and over the wide shapes apart.  A
+# change that alters output on purpose updates these digests.
 DEGENERATE_DIGEST = "64941ad8fdf28a78d8b9d8d28c7d47ff3e336de2f0c7ee7827d71aeeff3ae56f"
+WIDE_DEGENERATE_DIGEST = "4567fd1968e911d4aa08dbdfea6ce987567108c1a4e0d4a0f268e9e341765146"
+
+
+def _outputs_digest(contexts):
+    h = hashlib.sha256()
+    for ctx in contexts:
+        for text in _degenerate_outputs(ctx):
+            h.update((text + "\n").encode())
+    return h.hexdigest()
 
 
 def test_degenerate_shapes_equal_the_definition():
-    for ctx in degenerate_contexts():
+    for ctx in degenerate_contexts(DEGENERATE_SHAPES + WIDE_DEGENERATE_SHAPES):
         check_against_definition(ctx, _routes(ctx))
 
 
 def test_degenerate_outputs_are_identical():
-    h = hashlib.sha256()
-    for ctx in degenerate_contexts():
-        for text in _degenerate_outputs(ctx):
-            h.update((text + "\n").encode())
-    assert h.hexdigest() == DEGENERATE_DIGEST
+    assert _outputs_digest(degenerate_contexts()) == DEGENERATE_DIGEST
+    assert _outputs_digest(degenerate_contexts(WIDE_DEGENERATE_SHAPES)) == WIDE_DEGENERATE_DIGEST
