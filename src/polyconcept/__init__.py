@@ -19,7 +19,6 @@ from .context import (
 from .formats import (
     ParseError,
     export_dot,
-    format_concept,
     format_record,
     generate_random,
     parse_context,
@@ -45,6 +44,8 @@ from .order import (
     dimension_diagram,
     gsh_2d,
 )
+
+format_concept = format_record  # another public name for the one renderer
 
 __version__ = "0.1.0"
 

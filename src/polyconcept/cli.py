@@ -25,7 +25,6 @@ from .context import InputError, NContext
 from .formats import (
     ParseError,
     export_dot,
-    format_concept,
     format_record,
     generate_random,
     parse_context,
@@ -73,18 +72,20 @@ def _oracle_cap(args) -> int:
     return cap
 
 
-def _write_diagram(ctx, diagram, fmt: str, name: str) -> None:
+def _write_diagram(ctx, diagram, fmt: str, name: str, noun: str) -> None:
+    """The diagram to stdout, then ``N <noun>, M edges`` to stderr."""
     if fmt == "dot":
         sys.stdout.write(export_dot(ctx, diagram, name=name))
-        return
-    lines = [f"dimension: {diagram.dimension} {ctx.dims[diagram.dimension - 1].name}"]
-    for k, node in enumerate(diagram.nodes):
-        comp = " ".join(node.component) if node.component else "∅"
-        members = "; ".join(format_record(ctx, m) for m in node.members)
-        lines.append(f"class {k} [{comp}]: {members}")
-    for lo, hi in diagram.edges:
-        lines.append(f"edge: {lo} -> {hi}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        lines = [f"dimension: {diagram.dimension} {ctx.dims[diagram.dimension - 1].name}"]
+        for k, node in enumerate(diagram.nodes):
+            comp = " ".join(node.component) if node.component else "∅"
+            members = "; ".join(format_record(ctx, m) for m in node.members)
+            lines.append(f"class {k} [{comp}]: {members}")
+        for lo, hi in diagram.edges:
+            lines.append(f"edge: {lo} -> {hi}")
+        sys.stdout.write("\n".join(lines) + "\n")
+    _note(f"{len(diagram.nodes)} {noun}, {len(diagram.edges)} edges")
 
 
 def _introduction_counts(records) -> tuple[Counter, Counter]:
@@ -116,16 +117,14 @@ def cmd_order(args) -> int:
     dim = ctx.dim(args.dim).index  # resolve the selector before computing
     members = introducers(ctx) if args.on == "introducers" else enumerate_concepts(ctx)
     diagram = dimension_diagram(ctx, members, dim)
-    _write_diagram(ctx, diagram, args.format, "order")
-    _note(f"{len(diagram.nodes)} classes, {len(diagram.edges)} edges")
+    _write_diagram(ctx, diagram, args.format, "order", "classes")
     return 0
 
 
 def cmd_gsh(args) -> int:
     ctx = _load(args.input)
     diagram = gsh_2d(ctx)
-    _write_diagram(ctx, diagram, args.format, "gsh")
-    _note(f"{len(diagram.nodes)} nodes, {len(diagram.edges)} edges")
+    _write_diagram(ctx, diagram, args.format, "gsh", "nodes")
     return 0
 
 
@@ -179,8 +178,8 @@ def cmd_verify(args) -> int:
         reference = brute_force_concepts(ctx, cap=cap)
         failure = None
         if found != reference:
-            missing = [format_concept(ctx, t) for t in reference if t not in found]
-            extra = [format_concept(ctx, t) for t in found if t not in reference]
+            missing = [format_record(ctx, t) for t in reference if t not in found]
+            extra = [format_record(ctx, t) for t in found if t not in reference]
             failure = f"missing={missing} extra={extra}"
         table["concept oracle"] = _verdict(failure, f"{len(found)} concepts")
         # the same records as introducer_oracle(ctx), each copy counted
@@ -202,7 +201,7 @@ def cmd_verify(args) -> int:
         ("uniqueness", report.uniqueness_violations),
         ("antiordinal", report.antiordinal_violations),
     ):
-        pairs = [(format_concept(ctx, a), format_concept(ctx, b)) for a, b in violations]
+        pairs = [(format_record(ctx, a), format_record(ctx, b)) for a, b in violations]
         table[f"{axiom} axiom"] = _verdict(pairs)
 
     keys = set(found._keys)
@@ -213,7 +212,7 @@ def cmd_verify(args) -> int:
                 continue
         except InputError:  # not a canonical tuple of ctx
             pass
-        strays.append(format_concept(ctx, r.concept))
+        strays.append(format_record(ctx, r.concept))
     sound = f"{len(records)} of {len(records)} records are concepts"
     table["soundness"] = _verdict(strays and f"strays={strays}", sound)
 

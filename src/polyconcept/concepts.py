@@ -190,17 +190,12 @@ def enumerate_concepts(
 def oracle_cost(ctx: NContext) -> int:
     """Subset combinations the exhaustive oracle must walk for ``ctx``.
 
-    The product of 2**|dimension| over every dimension except the largest
-    (ties resolved to the first), which is also the known ceiling on the
-    number of concepts the context can have.
+    The product of 2**|dimension| over every dimension except one largest,
+    which is also the known ceiling on the number of concepts the context
+    can have.
     """
     sizes = [len(d) for d in ctx.dims]
-    k = sizes.index(max(sizes))
-    cost = 1
-    for j, s in enumerate(sizes):
-        if j != k:
-            cost <<= s
-    return cost
+    return 1 << sum(sizes) - max(sizes)
 
 
 def brute_force_concepts(

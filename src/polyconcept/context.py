@@ -217,16 +217,16 @@ class NContext:
                 name, elements = d
                 norm.append(Dimension(k + 1, name, tuple(elements)))
         # _build sets what _index reads before it consumes the map.
-        self._build(tuple(norm), map(self._index, relation), None)
+        self._build(tuple(norm), map(self._index, relation))
 
     @classmethod
-    def _of_indices(cls, dims, rel: Iterable[tuple[int, ...]], provenance=None) -> "NContext":
-        """The context of in-range index tuples over ``Dimension``s numbered 1..n."""
+    def _of_indices(cls, dims, rel: Iterable[tuple[int, ...]]) -> "NContext":
+        """The unsliced context of in-range index tuples over Dimensions 1..n."""
         ctx = object.__new__(cls)
-        ctx._build(tuple(dims), rel, provenance)
+        ctx._build(tuple(dims), rel)
         return ctx
 
-    def _build(self, dims, rel: Iterable[tuple[int, ...]], provenance) -> None:
+    def _build(self, dims, rel: Iterable[tuple[int, ...]]) -> None:
         """Check the dimensions, set them and lay index tuples out as bit rows.
 
         The rows of dimension i flatten the product of the other dimensions
@@ -241,7 +241,7 @@ class NContext:
         names = [d.name for d in dims]
         if len(set(names)) != len(names):
             raise InputError(f"dimension names must be unique, got {names}")
-        self._shape(dims, provenance)
+        self._shape(dims)
         self._layers: list[list[int]] = [[0] * len(d) for d in dims]
         cols = list(zip(*rel))
         for i, layer in enumerate(self._layers if cols else ()):
@@ -251,8 +251,8 @@ class NContext:
             for p, o in zip(cols[i], offsets):
                 layer[p] |= 1 << o
 
-    def _shape(self, dims: tuple[Dimension, ...], provenance) -> None:
-        """Set checked dimensions and the layout of each one's rows."""
+    def _shape(self, dims: tuple[Dimension, ...], provenance=None) -> None:
+        """Set checked dimensions, the layout of each one's rows and a slice's origin."""
         self._dims = dims
         self._lookup = tuple(d._pos for d in dims)  # read by _index
         self._arity = len(dims)
@@ -344,13 +344,8 @@ class NContext:
     # -- component tuples --------------------------------------------------
 
     def box(self, *components: Iterable[str]) -> ComponentTuple:
-        """Build a canonical ComponentTuple from one label set per dimension."""
-        if len(components) == 1 and not isinstance(components[0], (str, bytes)):
-            first = list(components[0])
-            if len(first) == self._arity and all(
-                not isinstance(c, str) for c in first
-            ):
-                components = tuple(first)
+        """A canonical ComponentTuple from one label collection per dimension,
+        as separate arguments: ``ctx.box(["1"], ["a", "b"])``."""
         if len(components) != self._arity:
             raise InputError(
                 f"expected {self._arity} components, got {len(components)}"
@@ -433,21 +428,19 @@ class NContext:
         """(sizes, mask, order), the input of ``concepts.closed_tuples``.
 
         The slice at element x of dimension i0 is that element's row; with
-        no i0, the whole relation is the rows of the smallest dimension (the
-        first on a tie) packed, that dimension slowest.  ``order`` maps the
-        mask's dimensions, smallest first, to their original positions.
-        Raises ``ArityError`` above ``MAX_ARITY`` dimensions.
+        no i0, sizes and order are the whole shape's ``_layout``, and the
+        rows of its slowest, smallest dimension, packed, are the relation.
+        ``order`` maps the mask's dimensions, smallest first (stable), to
+        their original positions.  Raises ``ArityError`` above ``MAX_ARITY``.
         """
         if self._arity > MAX_ARITY:
             raise ArityError(f"concept search takes at most {MAX_ARITY} dimensions, got {self._arity}")
         if i0 is not None:
             return self._ranked[i0], self._layers[i0][x], self._order[i0]
-        sizes = [len(d) for d in self._dims]
-        s = sizes.index(min(sizes))
-        order = (s, *(k + (k >= s) for k in self._order[s]))
-        cells = math.prod(self._ranked[s])
-        mask = sum(row << y * cells for y, row in enumerate(self._layers[s]))
-        return (sizes[s], *self._ranked[s]), mask, order
+        order, _, _, sizes = _layout(tuple([len(d) for d in self._dims]))
+        cells = math.prod(sizes[1:])
+        mask = sum(row << y * cells for y, row in enumerate(self._layers[order[0]]))
+        return sizes, mask, order
 
     # -- box predicates ------------------------------------------------------
 

@@ -52,7 +52,7 @@ from operator import getitem
 from typing import Iterator, Sequence
 
 from .concepts import ConceptSet
-from .context import ComponentTuple, Dimension, InputError, NContext, check_label
+from .context import Dimension, InputError, NContext, check_label
 from .introducers import IntroducerRecord
 from .order import DimensionDiagram
 
@@ -217,15 +217,10 @@ def _components_str(dims: Sequence[Dimension], components) -> str:
     return "(" + ", ".join([d._sep.join(c) if c else "∅" for d, c in zip(dims, components)]) + ")"
 
 
-def format_concept(ctx: NContext, t: ComponentTuple) -> str:
-    """One-line rendering, components in dimension order: ``(αβ, 13, a)``."""
-    return _components_str(ctx.dims, t.components)
-
-
 def format_record(ctx: NContext, member, sep: str = " ") -> str:
-    """One-line rendering of a member: a concept as ``format_concept`` gives
-    it, or an introducer record's concept, ``sep`` and its annotations:
-    ``(αβ, 13, a) introduces dim1: α; dim2: 1 3``."""
+    """One-line rendering of a member: a concept's components in dimension
+    order, ``(αβ, 13, a)``, or an introducer record's concept, ``sep`` and
+    its annotations: ``(αβ, 13, a) introduces dim1: α; dim2: 1 3``."""
     if not isinstance(member, IntroducerRecord):
         return _components_str(ctx.dims, member.components)
     dims = ctx.dims

@@ -184,7 +184,7 @@ def test_projection_consistency():
                 width = tuple(c for j, c in enumerate(t.components) if j != i0)
                 for x in t.components[i0]:
                     sub = ctx.slice(d.index, x)
-                    assert sub.is_full_box(sub.box(width))
+                    assert sub.is_full_box(sub.box(*width))
 
 
 def test_concept_count_bound():
@@ -266,6 +266,10 @@ def test_oracle_guard_refuses_large_contexts():
         [],
     )
     assert oracle_cost(big) == 2 ** 25
+    # one largest dimension is left out, whichever of a tie; an empty one adds 2**0
+    for sizes, cost in [((3, 3), 8), ((2, 3, 3), 32), ((3, 2, 3), 32), ((0, 3), 1), ((2, 0, 3), 4)]:
+        dims = [(f"d{k}", [f"e{j}" for j in range(n)]) for k, n in enumerate(sizes)]
+        assert oracle_cost(NContext(dims, [])) == cost
     with pytest.raises(OracleInfeasibleError):
         brute_force_concepts(big)
 

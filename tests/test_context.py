@@ -71,6 +71,12 @@ class TestConstruction:
         with pytest.raises(InputError):
             NContext([("d1", "ab"), ("d2", "xy")], [("a",)])
 
+    def test_dimension_objects_must_carry_their_position(self, fig3):
+        assert NContext(fig3.dims, fig3.tuples()) == fig3
+        swapped = (fig3.dims[1], fig3.dims[0], fig3.dims[2])
+        with pytest.raises(InputError, match="'dim2' carries index 2, expected 1"):
+            NContext(swapped, [])
+
     def test_duplicate_dimension_names_rejected(self):
         with pytest.raises(InputError):
             NContext([("d", "ab"), ("d", "xy")], [])
@@ -97,10 +103,17 @@ class TestConstruction:
     def test_box_canonicalizes_order_and_duplicates(self, fig3):
         t = fig3.box(["β", "α", "β"], ["3", "1"], ["a"])
         assert t == box("αβ", "13", "a")
+        # a one-shot iterable is one component, read once
+        unary = NContext([("d", "ab")], [("a",)])
+        assert unary.box(iter(["a"])) == unary.box(["a"]) == ComponentTuple((("a",),))
+        assert unary.box(x for x in ["b", "a"]).components == (("a", "b"),)
 
     def test_box_rejects_bare_string_component(self, fig1):
         with pytest.raises(InputError):
             fig1.box("12", ["a"])
+        # the components are separate arguments, never one collection of them
+        with pytest.raises(InputError, match="expected 2 components, got 1"):
+            fig1.box([["1"], ["a"]])
 
 
 class TestSlice:

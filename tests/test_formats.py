@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import polyconcept
 from polyconcept import (
     ComponentTuple,
     InputError,
@@ -471,3 +472,8 @@ def test_format_concept_spaces_labels_when_one_is_longer():
     ctx = NContext([("d1", ["a", "bc", "d"]), ("d2", "xy")], [])
     assert format_concept(ctx, ComponentTuple((("a", "d"), ("x", "y")))) == "(a d, xy)"
     assert format_concept(ctx, ComponentTuple((("bc",), ()))) == "(bc, ∅)"
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in polyconcept.__all__ if not hasattr(polyconcept, n)] == []
+    assert polyconcept.format_concept is polyconcept.format_record
