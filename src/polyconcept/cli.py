@@ -3,7 +3,7 @@
 Results go to standard output and are byte-identical across repeated runs on
 the same input; counts, timings, and warnings go to standard error.  Exit
 status: 0 on success, 1 when a verification check fails, 2 on usage or parse
-errors.
+errors, out of memory and internal consistency failures.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections import Counter
 
 from .concepts import (
     DEFAULT_ORACLE_CAP,
+    ConsistencyError,
     OracleInfeasibleError,
     brute_force_concepts,
     enumerate_concepts,
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InputError, OSError, OracleInfeasibleError) as exc:
+    except (ParseError, InputError, OSError, OracleInfeasibleError, ConsistencyError) as exc:
         _note(f"error: {exc}")
         return 2
     except MemoryError:

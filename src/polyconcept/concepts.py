@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .context import ComponentTuple, InputError, NContext, _elements
+from .context import ComponentTuple, NContext, _elements
 
 DEFAULT_ORACLE_CAP = 1 << 20
 
@@ -29,6 +29,10 @@ class OracleInfeasibleError(RuntimeError):
 
 class ConceptLimitError(RuntimeError):
     """Enumeration hit an explicitly configured concept-count cap."""
+
+
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed; indicates a bug, not bad input."""
 
 
 class ConceptSet:
@@ -89,7 +93,7 @@ class ConceptSet:
         return f"<ConceptSet of {len(self)}>"
 
 
-def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, boxed: bool, lv: int = 0):
+def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, lv: int = 0):
     """(component masks, box mask) of every concept of ``rel``, each once.
 
     ``rel`` is a relation over the dimensions of ``sizes`` from level ``lv``
@@ -102,13 +106,13 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, boxed: bool, lv: 
     dimensions the closed pairs are the concepts; with more, each concept T
     of C as an (n-1)-ary relation gives the concept (A, T) iff no row
     outside A covers T's box, so the levels nest down to two dimensions and
-    never reach one.  Box masks are built only when ``boxed``, as cells times
+    never reach one.  Box masks are built below level 0 only, as cells times
     the spread of A (bit ``b * stride`` per row b of A) carried on the stack.
     """
     n, stride, last = sizes[lv], cells[lv], lv + 2 == len(sizes)
     full = (1 << stride) - 1
     rows = [rel >> b * stride & full for b in range(n)]
-    spread = [1 << b * stride if boxed else 0 for b in range(n)]
+    spread = [1 << b * stride if lv else 0 for b in range(n)]
     a = sum([1 << b for b in range(n) if rows[b] == full])
     stack = [(a, full, 0, sum(map(spread.__getitem__, _elements(a))))]
     while stack:
@@ -117,7 +121,7 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, boxed: bool, lv: 
             yield (a, c), c * s
         else:
             out = _elements(a ^ (1 << n) - 1)  # the rows outside A
-            for comps, box in _cbo(sizes, cells, c, True, lv + 1):
+            for comps, box in _cbo(sizes, cells, c, lv + 1):
                 # The rows of A cover c, so a box that is all of c is kept.
                 for b in out if box != c else ():
                     if rows[b] & box == box:
@@ -141,14 +145,14 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, boxed: bool, lv: 
 
 
 def closed_tuples(
-    sizes: Sequence[int], rel: int, order: Sequence[int]
+    sizes: Sequence[int], cells: Sequence[int], rel: int, back: Sequence[int]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every concept of an n-ary relation, exactly once, as index tuples.
 
     ``rel`` masks the cells of a product of dimensions of the given sizes,
-    cell ``(p_1, ..., p_n)`` at bit ``sum(p_k * stride_k)`` with the last
-    dimension fastest; ``order[k]`` is the original position of the k-th
-    dimension, and components come out in original order.  The arguments
+    cell ``(p_1, ..., p_n)`` at bit ``sum(p_k * cells[k])`` with the last
+    dimension fastest; ``back[j]`` is the rank of the dimension at original
+    position j, and components come out in original order.  The arguments
     are what ``NContext._search_input`` returns, whose sizes ascend, so
     every level of the nested search has the smallest dimension left as its
     outer one, which bounds the cost of a closure.  A 1-ary relation is its
@@ -157,13 +161,7 @@ def closed_tuples(
     if len(sizes) == 1:
         yield (_elements(rel),)
         return
-    back = [0] * len(order)
-    for k, o in enumerate(order):
-        back[o] = k
-    cells = [1] * len(sizes)
-    for k in range(len(sizes) - 1, 0, -1):
-        cells[k - 1] = cells[k] * sizes[k]
-    for masks, _ in _cbo(sizes, cells, rel, False):
+    for masks, _ in _cbo(sizes, cells, rel):
         yield tuple([_elements(masks[k]) for k in back])
 
 
@@ -172,9 +170,9 @@ def enumerate_concepts(
 ) -> ConceptSet:
     """All n-concepts of ``ctx``, canonically ordered.
 
-    Every result of ``closed_tuples`` is re-checked with the concept test.
-    ``max_concepts`` is an optional hard cap; exceeding it raises
-    ``ConceptLimitError``.
+    Every result of ``closed_tuples`` is re-checked with the concept test,
+    and a failure raises ``ConsistencyError``.  ``max_concepts`` is an
+    optional hard cap; exceeding it raises ``ConceptLimitError``.
     """
     found: set[tuple[tuple[int, ...], ...]] = set()
     for pos in closed_tuples(*ctx._search_input()):
@@ -183,7 +181,7 @@ def enumerate_concepts(
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")
     for pos in found:
         if not ctx._is_concept_pos(pos):
-            raise InputError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
+            raise ConsistencyError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
     return ConceptSet(ctx, found)
 
 

@@ -18,7 +18,6 @@ going through labels; layouts are computed once per shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -63,17 +62,19 @@ def check_dimension_name(name: str) -> str:
 
 @lru_cache(maxsize=1024)
 def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """(order, strides, wide, ranked) of a cell layout, computed once per
-    shape: ``order`` lists the dimensions smallest first (stable), the
-    slowest first; ``strides[k]`` is the mixed-radix stride of dimension k;
-    ``wide`` lists the dimensions of more than one element, fastest first;
-    ``ranked`` lists the sizes in ``order``."""
+    """(order, strides, wide, ranked, cells, back) of a cell layout, cached per
+    shape: ``order`` lists the dimensions smallest first (stable), the slowest
+    first; ``strides[k]`` is the mixed-radix stride of dimension k; ``wide``
+    lists the dimensions of more than one element, fastest first; ``ranked``
+    and ``cells`` list the sizes and strides in ``order``; ``back`` inverts it."""
     order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
     strides, step = [0] * len(sizes), 1
     for k in reversed(order):
         strides[k], step = step, step * sizes[k]
     wide = tuple([k for k in reversed(order) if sizes[k] > 1])
-    return order, tuple(strides), wide, tuple([sizes[k] for k in order])
+    ranked, cells = (tuple(map(seq.__getitem__, order)) for seq in (sizes, strides))
+    back = tuple(sorted(range(len(order)), key=order.__getitem__))
+    return order, tuple(strides), wide, ranked, cells, back
 
 
 _DECODED = [()]  # _DECODED[m]: the set bits of m, for every m < _SMALL
@@ -230,7 +231,7 @@ class NContext:
         """Check the dimensions, set them and lay index tuples out as bit rows.
 
         The rows of dimension i flatten the product of the other dimensions
-        as ``_layout`` orders them (``_order[i]``, ``_strides[i]``).  Each
+        as ``_layout`` orders them (``_strides[i]``).  Each
         tuple sets one bit of one row per dimension: in the rows of dimension
         i, bit ``sum(p_j * stride_ij)`` over its fields j != i.  The tuples
         are transposed once into columns, and each dimension's offsets are
@@ -252,13 +253,13 @@ class NContext:
                 layer[p] |= 1 << o
 
     def _shape(self, dims: tuple[Dimension, ...], provenance=None) -> None:
-        """Set checked dimensions, the layout of each one's rows and a slice's origin."""
+        """Set checked dimensions, the ``_layout`` of each one's rows and a slice's origin."""
         self._dims = dims
         self._lookup = tuple(d._pos for d in dims)  # read by _index
         self._arity = len(dims)
         self._provenance = provenance
         sizes = tuple([len(d) for d in dims])
-        self._order, self._strides, self._wide, self._ranked = zip(
+        _, self._strides, self._wide, self._ranked, self._cells, self._back = zip(
             *[_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
         )
 
@@ -425,34 +426,32 @@ class NContext:
         return tuple([e for e, row in enumerate(rows) if row & w == w])
 
     def _search_input(self, i0: int | None = None, x: int = 0):
-        """(sizes, mask, order), the input of ``concepts.closed_tuples``.
+        """(sizes, cells, mask, back), the input of ``concepts.closed_tuples``.
 
-        The slice at element x of dimension i0 is that element's row; with
-        no i0, sizes and order are the whole shape's ``_layout``, and the
-        rows of its slowest, smallest dimension, packed, are the relation.
-        ``order`` maps the mask's dimensions, smallest first (stable), to
-        their original positions.  Raises ``ArityError`` above ``MAX_ARITY``.
+        The slice at element x of dimension i0 is that element's row; with no
+        i0, the rows of the slowest, smallest dimension, packed, are the
+        relation.  The rest is the mask's cached ``_layout``: its ranked sizes
+        and strides, smallest first (stable), and the rank of each original
+        position.  Raises ``ArityError`` above ``MAX_ARITY``.
         """
         if self._arity > MAX_ARITY:
             raise ArityError(f"concept search takes at most {MAX_ARITY} dimensions, got {self._arity}")
         if i0 is not None:
-            return self._ranked[i0], self._layers[i0][x], self._order[i0]
-        order, _, _, sizes = _layout(tuple([len(d) for d in self._dims]))
-        cells = math.prod(sizes[1:])
-        mask = sum(row << y * cells for y, row in enumerate(self._layers[order[0]]))
-        return sizes, mask, order
+            return self._ranked[i0], self._cells[i0], self._layers[i0][x], self._back[i0]
+        order, _, _, sizes, cells, back = _layout(tuple([len(d) for d in self._dims]))
+        mask = sum(row << y * cells[0] for y, row in enumerate(self._layers[order[0]]))
+        return sizes, cells, mask, back
 
     # -- box predicates ------------------------------------------------------
 
     def is_full_box(self, t: ComponentTuple) -> bool:
-        """True iff every cell in the product of t's components is crossed.
+        """True iff every cell in the product of t's components is crossed,
+        that is, iff its first component lies in the extension of the others.
 
         A tuple with any empty component is vacuously full.
         """
         pos = self.sort_key(t)
-        w = self._width_bits(0, pos[1:])
-        layer = self._layers[0]
-        return all(layer[e] & w == w for e in pos[0])
+        return set(pos[0]).issubset(self._extend_pos(0, pos[1:]))
 
     def is_concept(self, t: ComponentTuple) -> bool:
         """True iff t, checked by ``sort_key``, is a full box maximal in every
@@ -509,8 +508,8 @@ class NContext:
         for k, rows in enumerate(self._layers):
             if k != i0:
                 st = self._strides[k][i0 - (i0 > k)]
-                low, block = (1 << st) - 1, st * n
-                cuts = [(a + x * st, a // n) for a in range(0, math.prod(self._ranked[k]), block)]
+                low, size = (1 << st) - 1, self._ranked[k][0] * self._cells[k][0]
+                cuts = [(a + x * st, a // n) for a in range(0, size, st * n)]
                 sub._layers.append([sum([(r >> a & low) << b for a, b in cuts]) for r in rows])
         return sub
 

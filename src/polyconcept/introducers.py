@@ -17,12 +17,9 @@ from functools import reduce
 from operator import and_
 from typing import Iterable
 
-from .concepts import DEFAULT_ORACLE_CAP, ConceptSet, brute_force_concepts, closed_tuples
+from .concepts import (DEFAULT_ORACLE_CAP, ConceptSet, ConsistencyError,
+                       brute_force_concepts, closed_tuples)
 from .context import ArityError, ComponentTuple, InputError, NContext
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,11 @@ def test_verify_antiordinal_failure_is_exit_1(monkeypatch, capsys):
     assert lines[4] == "soundness: FAIL strays=['(αβ, 1, a)']"
     assert lines[5] == "introduction counts: ok (8 elements)"
     assert lines[-1] == "result: fail (3)"
+    # a concept that is not even a canonical tuple of the context is a stray
+    unsorted = IntroducerRecord(box("βα", "1", "a"), ())
+    monkeypatch.setattr(cli, "introducers", lambda ctx: introducers(ctx) + (unsorted,))
+    assert cli.main(["verify", FIG3_TSV]) == 1
+    assert capsys.readouterr().out.splitlines()[4] == "soundness: FAIL strays=['(βα, 1, a)']"
 
 
 def test_introducer_commands_need_two_dimensions(tmp_path):
@@ -518,6 +523,12 @@ def test_gen_writes_tuple_file():
 def test_gen_validates_sizes():
     res = run_cli("gen", "--sizes", "2,zero", "--density", "0.5", "--seed", "1")
     assert res.returncode == 2
+
+
+def test_gen_size_error_is_one_line(capsys):
+    argv = ["gen", "--sizes", "2,x", "--density", "0.5", "--seed", "1"]
+    message = "error: --sizes must be comma-separated integers, got '2,x'\n"
+    assert _outcome(argv, capsys) == (2, "", message)
 
 
 def test_gen_pipes_into_concepts(tmp_path):

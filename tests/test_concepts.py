@@ -8,10 +8,12 @@ from polyconcept import (
     ArityError,
     ConceptLimitError,
     ConceptSet,
+    ConsistencyError,
     NContext,
     OracleInfeasibleError,
     Dimension,
     brute_force_concepts,
+    concepts,
     enumerate_concepts,
     extend_height,
     generate_random,
@@ -256,6 +258,8 @@ def test_differing_keyed_and_labelled_concept_sets_are_unequal(fig3):
     assert found != enumerate_concepts(fig3.slice(1, "α"))
     renamed = NContext([(d.name + "'", d.elements) for d in fig3.dims], fig3.tuples()[1:])
     assert enumerate_concepts(renamed) != found
+    # a list is neither a set nor a ConceptSet, even with the same members
+    assert (found == list(found)) is False and found != list(found)
 
 
 def test_oracle_guard_refuses_large_contexts():
@@ -272,6 +276,15 @@ def test_oracle_guard_refuses_large_contexts():
         assert oracle_cost(NContext(dims, [])) == cost
     with pytest.raises(OracleInfeasibleError):
         brute_force_concepts(big)
+
+
+def test_enumerator_fault_is_a_consistency_error(fig1, monkeypatch):
+    # The search also yields (1, a), a full box of fig1 that is not maximal:
+    # the re-check reports a bug, not bad input.
+    search = concepts.closed_tuples
+    monkeypatch.setattr(concepts, "closed_tuples", lambda *a: [*search(*a), ((0,), (0,))])
+    with pytest.raises(ConsistencyError, match=r"^\(1, a\) is not a concept of <NContext 3x3"):
+        enumerate_concepts(fig1)
 
 
 def test_concept_cap_guard(fig1):

@@ -70,6 +70,8 @@ class TestConstruction:
     def test_relation_tuple_arity_checked(self):
         with pytest.raises(InputError):
             NContext([("d1", "ab"), ("d2", "xy")], [("a",)])
+        with pytest.raises(ArityError, match="a context needs at least one dimension"):
+            NContext([], [])
 
     def test_dimension_objects_must_carry_their_position(self, fig3):
         assert NContext(fig3.dims, fig3.tuples()) == fig3
@@ -185,7 +187,7 @@ class TestSlice:
                     ref = NContext(others, [t[:i] + t[i + 1 :] for t in tuples if t[i] == x])
                     assert sub.dims == ref.dims
                     assert [e.index for e in sub.dims] == list(range(1, len(shape)))
-                    assert sub._order == ref._order and sub._strides == ref._strides
+                    assert sub._back == ref._back and sub._strides == ref._strides
                     assert sub._wide == ref._wide and sub._ranked == ref._ranked
                     assert len(sub._layers) == len(ref._layers)
                     for got, want in zip(sub._layers, ref._layers):

@@ -271,6 +271,16 @@ class TestParseCrossTable:
         with pytest.raises(ParseError):
             parse_cross_table(",a\n1,maybe\n")
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [("", "line 1: empty cross table"),
+         ("a b\nc d\n", "line 1: a cross table needs tab- or comma-separated columns")],
+    )
+    def test_header_line_faults(self, text, error):
+        with pytest.raises(ParseError) as err:
+            parse_cross_table(text)
+        assert str(err.value) == error
+
 
 class TestParseContext:
     def test_detects_cross_table_by_corner(self):

@@ -7,6 +7,7 @@ from polyconcept import (
     ConsistencyError,
     InputError,
     NContext,
+    cli,
     enumerate_concepts,
     extend_height,
     generate_random,
@@ -19,6 +20,7 @@ from polyconcept import (
 from conftest import (
     FIG1_GSH,
     FIG3_INTRODUCES,
+    FIXTURES,
     box,
     introducers_of,
     records_by_concept,
@@ -120,6 +122,12 @@ class TestIntroducers:
     def test_records_merge_rather_than_duplicate(self, fig3):
         records = introducers(fig3)
         assert len({r.concept for r in records}) == len(records)
+
+    def test_records_and_concepts_print_as_text(self, fig1, fig3):
+        first = introducers(fig1)[0]
+        assert str(first) == "(1, a b) introduces 1: 1"
+        assert str(first.concept) == "(1, a b)"
+        assert str(introducers(fig3)[1]) == "(α, 1, a b) introduces 1: α; 2: 1; 3: b"
 
     def test_idempotent_and_deterministic(self, fig3):
         assert introducers(fig3) == introducers(fig3)
@@ -279,6 +287,12 @@ class TestConsistencyChecks:
         self._fault(monkeypatch, 2, lambda ext: ext[1:] if ext else (0,))
         with pytest.raises(ConsistencyError, match="is not a concept"):
             introducer_dim(fig3, 1)
+
+    def test_cli_reports_a_failed_check_as_one_error_line(self, monkeypatch, capsys):
+        # a bug, not a failed verification: exit 2, no traceback
+        self._fault(monkeypatch, 0, lambda ext: ext[1:])
+        assert cli.main(["introducers", str(FIXTURES / "fig3.tsv")]) == 2
+        assert capsys.readouterr() == ("", "error: extension of (α, ∅, a b c) lost 'α'\n")
 
 
 def test_one_concept_test_per_record(monkeypatch):

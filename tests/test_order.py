@@ -114,6 +114,12 @@ class TestAxioms:
         assert report.ok
         assert report.per_dimension_relation_sizes == ()
 
+    def test_rejects_bad_members(self):
+        with pytest.raises(InputError, match="members have mixed arity"):
+            check_n_ordered([box("1", "a"), box("1", "a", "b")])
+        with pytest.raises(InputError, match="expected ComponentTuple or IntroducerRecord, got tuple"):
+            check_n_ordered([("1", "a")])
+
 
 def _random_box_lists():
     """40 seeded member lists of arity 1-4, as (arity, labels, members).
@@ -282,6 +288,8 @@ class TestDimensionDiagram:
         ):
             with pytest.raises(InputError):
                 dimension_diagram(fig1, [box("1", "ab"), bad], 1)
+        with pytest.raises(InputError, match="expected ComponentTuple or IntroducerRecord, got tuple"):
+            dimension_diagram(fig1, [("1", "a")], 1)
 
     def test_classes_partition_members(self, fig3):
         members = list(enumerate_concepts(fig3))
