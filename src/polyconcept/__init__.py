@@ -45,8 +45,6 @@ from .order import (
     gsh_2d,
 )
 
-format_concept = format_record  # another public name for the one renderer
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "enumerate_concepts",
     "export_dot",
     "extend_height",
-    "format_concept",
     "format_record",
     "generate_random",
     "gsh_2d",

@@ -22,7 +22,7 @@ from .concepts import (
     enumerate_concepts,
     oracle_cost,
 )
-from .context import InputError, NContext
+from .context import InputError, NContext, component_text
 from .formats import (
     ParseError,
     export_dot,
@@ -80,7 +80,7 @@ def _write_diagram(ctx, diagram, fmt: str, name: str, noun: str) -> None:
     else:
         lines = [f"dimension: {diagram.dimension} {ctx.dims[diagram.dimension - 1].name}"]
         for k, node in enumerate(diagram.nodes):
-            comp = " ".join(node.component) if node.component else "∅"
+            comp = component_text([node.component], " ")[1:-1]  # without the parentheses
             members = "; ".join(format_record(ctx, m) for m in node.members)
             lines.append(f"class {k} [{comp}]: {members}")
         for lo, hi in diagram.edges:

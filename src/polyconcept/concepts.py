@@ -181,7 +181,7 @@ def enumerate_concepts(
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")
     for pos in found:
         if not ctx._is_concept_pos(pos):
-            raise ConsistencyError(f"{ctx._labelled(pos)} is not a concept of {ctx!r}")
+            raise ConsistencyError(f"{ctx._text(pos)} is not a concept of {ctx!r}")
     return ConceptSet(ctx, found)
 
 

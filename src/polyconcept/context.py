@@ -83,6 +83,12 @@ for _b in range(10):
 _SMALL = len(_DECODED)
 
 
+def component_text(components: Iterable[Sequence[str]], seps: Iterable[str]) -> str:
+    """The one text rule of a component tuple, ``(αβ, 13, ∅)``: component k's
+    labels joined by ``seps[k]``, an empty one as ``∅``."""
+    return "(" + ", ".join([s.join(c) if c else "∅" for s, c in zip(seps, components)]) + ")"
+
+
 def _elements(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending: looked up below
     ``_SMALL``, else peeled off lowest first."""
@@ -178,7 +184,7 @@ class ComponentTuple:
         return any(not comp for comp in self.components)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(" ".join(c) if c else "∅" for c in self.components) + ")"
+        return component_text(self.components, repeat(" "))
 
     def __reduce__(self):
         # A copy cannot keep the dims identity its key is valid for.
@@ -253,8 +259,10 @@ class NContext:
                 layer[p] |= 1 << o
 
     def _shape(self, dims: tuple[Dimension, ...], provenance=None) -> None:
-        """Set checked dimensions, the ``_layout`` of each one's rows and a slice's origin."""
+        """Set checked dimensions, their text forms, each row ``_layout`` and a slice's origin."""
         self._dims = dims
+        self._names = {d.index: d.name for d in dims}
+        self._seps = tuple([d._sep for d in dims])
         self._lookup = tuple(d._pos for d in dims)  # read by _index
         self._arity = len(dims)
         self._provenance = provenance
@@ -387,28 +395,6 @@ class NContext:
 
     # -- bit-row machinery ---------------------------------------------------
 
-    def _width_bits(self, i0: int, comps: Sequence[Sequence[int]]) -> int:
-        """Mask of the product of index components over all dimensions != i0.
-
-        Cell ``(p_1, ..., p_m)`` of the product sits at bit
-        ``sum(p_k * stride_k)``.  The mask is built one dimension at a time,
-        smallest stride first: each step ORs together one copy of the mask so
-        far shifted by ``p * stride`` for every ``p`` in that dimension's
-        component, skipping dimensions of one element, whose (0,) shifts by
-        0.  An empty component gives 0; with no other dimension the product
-        is the single empty cell, bit 1.
-        """
-        if not all(comps):
-            return 0
-        strides = self._strides[i0]
-        mask = 1
-        for k in self._wide[i0]:
-            acc = 0
-            for p in comps[k]:
-                acc |= mask << p * strides[k]
-            mask = acc
-        return mask
-
     def _extend_pos(self, i0: int, comps: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """All elements of dimension i0 whose layer covers the given width.
 
@@ -416,14 +402,31 @@ class NContext:
         original order.  An empty width component makes every layer qualify
         vacuously; for a 1-dimensional context the result is the relation.
         In two dimensions a width smaller than this dimension ANDs the width's
-        rows (this one's columns); otherwise this dimension's rows are scanned.
+        rows (this one's columns); otherwise this dimension's rows are scanned
+        for the width's mask, built one dimension at a time, smallest stride
+        first, from shifted copies (cell ``p`` at bit ``sum(p_k * stride_k)``).
         """
         rows = self._layers[i0]
         if self._arity == 2 and len(comps[0]) < len(rows):
             cols = self._layers[1 - i0]
             return _elements(reduce(and_, map(cols.__getitem__, comps[0]), (1 << len(rows)) - 1))
-        w = self._width_bits(i0, comps)
+        if not all(comps):
+            return tuple(range(len(rows)))
+        strides, w = self._strides[i0], 1
+        for k in self._wide[i0]:
+            acc = 0
+            for p in comps[k]:
+                acc |= w << p * strides[k]
+            w = acc
         return tuple([e for e, row in enumerate(rows) if row & w == w])
+
+    def _extend(self, i0: int, width: Sequence[Iterable[str]]) -> tuple[str, ...]:
+        """``_extend_pos`` from and to labels, for ``derive`` and ``extend_height``."""
+        others = self._dims[:i0] + self._dims[i0 + 1 :]
+        if len(width) != len(others):
+            raise InputError(f"width has {len(width)} components, expected {len(others)}")
+        ext = self._extend_pos(i0, [d._positions(c) for d, c in zip(others, width)])
+        return tuple(map(self._dims[i0].elements.__getitem__, ext))
 
     def _search_input(self, i0: int | None = None, x: int = 0):
         """(sizes, cells, mask, back), the input of ``concepts.closed_tuples``.
@@ -472,6 +475,10 @@ class NContext:
             if i != derived and self._extend_pos(i, width) != comp:
                 return False
         return True
+
+    def _text(self, pos: tuple[tuple[int, ...], ...]) -> str:
+        """Index components as the CLI prints them, for error messages."""
+        return component_text(self._labelled(pos).components, self._seps)
 
     def _labelled(self, pos: tuple[tuple[int, ...], ...]) -> ComponentTuple:
         """The ComponentTuple of ascending index components, carrying them."""
@@ -523,7 +530,4 @@ class NContext:
             raise ArityError(
                 f"derivation is defined on 2-dimensional contexts, arity is {self._arity}"
             )
-        i0 = self._dim0(side)
-        j0 = 1 - i0
-        pos = self._extend_pos(j0, (self._dims[i0]._positions(labels),))
-        return tuple(self._dims[j0].elements[p] for p in pos)
+        return self._extend(1 - self._dim0(side), [labels])

@@ -52,7 +52,7 @@ from operator import getitem
 from typing import Iterator, Sequence
 
 from .concepts import ConceptSet
-from .context import Dimension, InputError, NContext, check_label
+from .context import Dimension, InputError, NContext, check_label, component_text
 from .introducers import IntroducerRecord
 from .order import DimensionDiagram
 
@@ -213,19 +213,13 @@ def serialize_tuples(ctx: NContext) -> str:
     return "\n".join(out) + "\n"
 
 
-def _components_str(dims: Sequence[Dimension], components) -> str:
-    return "(" + ", ".join([d._sep.join(c) if c else "∅" for d, c in zip(dims, components)]) + ")"
-
-
 def format_record(ctx: NContext, member, sep: str = " ") -> str:
     """One-line rendering of a member: a concept's components in dimension
     order, ``(αβ, 13, a)``, or an introducer record's concept, ``sep`` and
     its annotations: ``(αβ, 13, a) introduces dim1: α; dim2: 1 3``."""
-    if not isinstance(member, IntroducerRecord):
-        return _components_str(ctx.dims, member.components)
-    dims = ctx.dims
-    notes = "; ".join([f"{dims[d - 1].name}: {' '.join(xs)}" for d, xs in member.introduces])
-    return f"{_components_str(dims, member.concept.components)}{sep}introduces {notes}"
+    if isinstance(member, IntroducerRecord):
+        return member._text(ctx._names, ctx._seps, sep)
+    return component_text(member.components, ctx._seps)
 
 
 def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
@@ -236,7 +230,7 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     """
     if fmt not in ("text", "structured"):
         raise InputError(f"unknown format {fmt!r}")
-    dims = ctx.dims
+    dims, names, seps = ctx.dims, ctx._names, ctx._seps
     if isinstance(items, ConceptSet) and items._ctx.dims == dims:
         # labelled here from the sorted keys; no ComponentTuple is built
         label = [d.elements.__getitem__ for d in dims]
@@ -248,7 +242,7 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     lines = []
     for components, record in pairs:
         if fmt == "text":
-            line = format_record(ctx, record, "\t") if record else _components_str(dims, components)
+            line = record._text(names, seps, "\t") if record else component_text(components, seps)
         elif fmt == "structured":
             doc: dict = {"components": [list(c) for c in components]}
             if record:

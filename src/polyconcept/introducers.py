@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import and_
 from typing import Iterable
 
 from .concepts import (DEFAULT_ORACLE_CAP, ConceptSet, ConsistencyError,
                        brute_force_concepts, closed_tuples)
-from .context import ArityError, ComponentTuple, InputError, NContext
+from .context import ArityError, ComponentTuple, NContext, component_text
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,14 @@ class IntroducerRecord:
                 return labels
         return ()
 
+    def _text(self, names, seps, sep: str = " ") -> str:
+        """The concept's ``component_text``, ``sep``, then ``introduces d: x y; ...``
+        with dimension d named ``names[d]``."""
+        notes = "; ".join([f"{names[d]}: {' '.join(xs)}" for d, xs in self.introduces])
+        return f"{component_text(self.concept.components, seps)}{sep}introduces {notes}"
+
     def __str__(self) -> str:
-        parts = "; ".join(f"{d}: {' '.join(ls)}" for d, ls in self.introduces)
-        return f"{self.concept} introduces {parts}"
+        return self._text({d: d for d, _ in self.introduces}, repeat(" "))
 
 
 def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
@@ -55,12 +61,7 @@ def extend_height(ctx: NContext, dim, width) -> tuple[str, ...]:
     some width component is empty that is all of the dimension.
     """
     i0 = ctx._dim0(dim)
-    comps = width.components if isinstance(width, ComponentTuple) else tuple(width)
-    others = [d for j, d in enumerate(ctx.dims) if j != i0]
-    if len(comps) != len(others):
-        raise InputError(f"width has {len(comps)} components, expected {len(others)}")
-    ext = ctx._extend_pos(i0, [d._positions(c) for d, c in zip(others, comps)])
-    return tuple(ctx.dims[i0].elements[p] for p in ext)
+    return ctx._extend(i0, width.components if isinstance(width, ComponentTuple) else tuple(width))
 
 
 def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
@@ -78,7 +79,7 @@ def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
                 concept = width[:i0] + (ext,) + width[i0:]
                 if x not in ext:
                     raise ConsistencyError(
-                        f"extension of {ctx._labelled(pos)} lost {elements[x]!r}"
+                        f"extension of {ctx._text(pos)} lost {elements[x]!r}"
                     )
                 intro = bucket.get(concept)
                 if intro is None:
@@ -86,8 +87,8 @@ def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
                     # so only the other dimensions can fail to be maximal.
                     if not ctx._is_concept_pos(concept, i0):
                         raise ConsistencyError(
-                            f"extension {ctx._labelled(concept)} of slice concept "
-                            f"{ctx._labelled(pos)} is not a concept"
+                            f"extension {ctx._text(concept)} of slice concept "
+                            f"{ctx._text(pos)} is not a concept"
                         )
                     intro = bucket[concept] = {}
                 intro.setdefault(i0 + 1, []).append(x)

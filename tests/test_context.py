@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import itertools
-import math
 import pickle
 import random
 import sys
@@ -125,6 +124,8 @@ class TestSlice:
         assert [d.name for d in sub.dims] == ["dim2", "dim3"]
         assert set(sub.tuples()) == {("1", "a"), ("1", "b"), ("3", "a")}
         assert sub.provenance == ("dim1", "α")
+        assert repr(sub) == "<NContext 3x3, 3 tuples, sliced at dim1=α>"
+        assert repr(fig3) == "<NContext 2x3x3, 7 tuples>"
 
     def test_fig1_object_row_is_1_context(self, fig1):
         sub = fig1.slice("objects", "1")
@@ -329,38 +330,50 @@ def test_component_tuple_equality_is_setwise():
     assert box("α", "1", "a") != box("β", "1", "a")
 
 
-def test_width_bits_matches_cell_by_cell_reference():
-    # Every cell of the product of the components, flattened in mixed radix
-    # with the other dimensions smallest first (stable sort by size) and the
-    # last of those fastest, sets one bit of the mask.
+def _extension_by_cells(ctx, i0, width):
+    """Positions of the elements x of dimension i0 for which ``ctx.has``
+    holds on x joined to every cell of the product of the index components
+    ``width``."""
+    dims = ctx.dims
+    others = dims[:i0] + dims[i0 + 1 :]
+    labels = [[d.elements[p] for p in c] for d, c in zip(others, width)]
+    cells = list(itertools.product(*labels))
+    return tuple(
+        e for e, x in enumerate(dims[i0].elements)
+        if all(ctx.has(cell[:i0] + (x,) + cell[i0:]) for cell in cells)
+    )
+
+
+def test_extension_matches_cell_by_cell_reference():
+    # 1-D to 4-D shapes with zero-element dimensions, empty to full
+    # relations, random widths including empty components.
     rng = random.Random(20)
     for n in range(1, 5):
         for _ in range(40):
             sizes = [rng.randint(0, 4) for _ in range(n)]
+            labels = [[f"e{p}" for p in range(s)] for s in sizes]
+            density = rng.choice((0, 0.5, 0.9, 1))
             ctx = NContext(
-                [(f"d{k}", [f"e{p}" for p in range(s)]) for k, s in enumerate(sizes)]
+                [(f"d{k}", ls) for k, ls in enumerate(labels)],
+                [t for t in itertools.product(*labels) if rng.random() < density],
             )
             for i0 in range(n):
                 other = sizes[:i0] + sizes[i0 + 1 :]
-                order = sorted(range(len(other)), key=other.__getitem__)
-                strides = [0] * len(other)
-                for j, k in enumerate(order):
-                    strides[k] = math.prod(other[m] for m in order[j + 1 :])
                 comps = [
                     tuple(sorted(rng.sample(range(s), rng.randint(0, s))))
                     for s in other
                 ]
-                expected = 0
-                for cell in itertools.product(*comps):
-                    expected |= 1 << sum(p * s for p, s in zip(cell, strides))
-                assert ctx._width_bits(i0, comps) == expected, (sizes, i0, comps)
-    assert NContext([("d", "ab")], [("a",)])._width_bits(0, ()) == 1
+                expected = _extension_by_cells(ctx, i0, comps)
+                assert ctx._extend_pos(i0, comps) == expected, (sizes, i0, comps)
+    one = NContext([("d", "abc")], [("a",), ("c",)])
+    assert one._extend_pos(0, ()) == (0, 2)
 
 
 def test_two_dimensional_extension_matches_row_scan():
     # Tall, wide and square tables, empty to full.  A width of fewer
     # elements than the extended dimension has rows is extended by ANDing
-    # the other dimension's rows; every width is held to the row scan.
+    # the other dimension's rows, a wider one by scanning this dimension's
+    # rows; both are held to the reference.
     rng = random.Random(30)
     branches, crossless = set(), 0
     for sizes in ((30, 4), (4, 30), (8, 8)):
@@ -371,10 +384,9 @@ def test_two_dimensional_extension_matches_row_scan():
                 rows, other = ctx._layers[i0], sizes[1 - i0]
                 for r in range(other + 1):
                     for _ in range(3):
-                        width = tuple(sorted(rng.sample(range(other), r)))
-                        w = ctx._width_bits(i0, (width,))
-                        scan = tuple(e for e, row in enumerate(rows) if row & w == w)
-                        assert ctx._extend_pos(i0, (width,)) == scan, (sizes, density, i0, width)
+                        width = (tuple(sorted(rng.sample(range(other), r))),)
+                        expected = _extension_by_cells(ctx, i0, width)
+                        assert ctx._extend_pos(i0, width) == expected, (sizes, density, i0, width)
                         branches.add(r < len(rows))
     assert branches == {True, False} and crossless
 

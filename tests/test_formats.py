@@ -14,7 +14,7 @@ from polyconcept import (
     dimension_diagram,
     enumerate_concepts,
     export_dot,
-    format_concept,
+    format_record,
     generate_random,
     gsh_2d,
     introducers,
@@ -46,6 +46,9 @@ class TestParseTuples:
         ctx = parse_tuples("! d1: a b\n! d2: x y\n")
         assert ctx.relation_size == 0
         assert [d.name for d in ctx.dims] == ["d1", "d2"]
+        assert [(d.name, d.elements) for d in parse_tuples("!d1:a\n!d2: x\n").dims] == [
+            ("d1", ("a",)), ("d2", ("x",))
+        ]
 
     def test_headerless_inference_first_appearance_order(self):
         ctx = parse_tuples("q,x\np,x\np,y\n")
@@ -97,6 +100,9 @@ class TestParseTuples:
     def test_empty_body_without_header_rejected(self):
         with pytest.raises(ParseError):
             parse_tuples("# nothing here\n")
+        with pytest.raises(ParseError) as err:
+            parse_tuples("")
+        assert (str(err.value), err.value.line) == ("line 1: empty input: no header and no tuples", 1)
 
     def test_header_after_body_rejected(self):
         with pytest.raises(ParseError):
@@ -316,6 +322,9 @@ class TestParseContext:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_context("  \n# only a comment\n")
+        with pytest.raises(ParseError) as err:
+            parse_context("")
+        assert (str(err.value), err.value.line) == ("line 1: empty input", 1)
 
 
 class TestRoundTrip:
@@ -473,17 +482,16 @@ class TestGenerateRandom:
             generate_random((3, 3), 1.5, 1)
 
 
-def test_format_concept_uses_dimension_order(fig3):
-    assert format_concept(fig3, box("αβ", "13", "a")) == "(αβ, 13, a)"
-    assert format_concept(fig3, box("", "123", "abc")) == "(∅, 123, abc)"
+def test_format_record_uses_dimension_order(fig3):
+    assert format_record(fig3, box("αβ", "13", "a")) == "(αβ, 13, a)"
+    assert format_record(fig3, box("", "123", "abc")) == "(∅, 123, abc)"
 
 
-def test_format_concept_spaces_labels_when_one_is_longer():
+def test_format_record_spaces_labels_when_one_is_longer():
     ctx = NContext([("d1", ["a", "bc", "d"]), ("d2", "xy")], [])
-    assert format_concept(ctx, ComponentTuple((("a", "d"), ("x", "y")))) == "(a d, xy)"
-    assert format_concept(ctx, ComponentTuple((("bc",), ()))) == "(bc, ∅)"
+    assert format_record(ctx, ComponentTuple((("a", "d"), ("x", "y")))) == "(a d, xy)"
+    assert format_record(ctx, ComponentTuple((("bc",), ()))) == "(bc, ∅)"
 
 
 def test_every_exported_name_resolves():
     assert [n for n in polyconcept.__all__ if not hasattr(polyconcept, n)] == []
-    assert polyconcept.format_concept is polyconcept.format_record

@@ -10,6 +10,7 @@ from polyconcept import (
     cli,
     enumerate_concepts,
     extend_height,
+    format_record,
     generate_random,
     introducer_dim,
     introducer_oracle,
@@ -292,7 +293,14 @@ class TestConsistencyChecks:
         # a bug, not a failed verification: exit 2, no traceback
         self._fault(monkeypatch, 0, lambda ext: ext[1:])
         assert cli.main(["introducers", str(FIXTURES / "fig3.tsv")]) == 2
-        assert capsys.readouterr() == ("", "error: extension of (α, ∅, a b c) lost 'α'\n")
+        assert capsys.readouterr() == ("", "error: extension of (α, ∅, abc) lost 'α'\n")
+
+    def test_failed_check_prints_its_concept_as_format_record_does(self, fig3, monkeypatch):
+        self._fault(monkeypatch, 0, lambda ext: ext[1:])
+        with pytest.raises(ConsistencyError) as err:
+            introducer_dim(fig3, 1)
+        text = format_record(fig3, fig3.box(["α"], [], ["a", "b", "c"]))
+        assert str(err.value) == f"extension of {text} lost 'α'"
 
 
 def test_one_concept_test_per_record(monkeypatch):

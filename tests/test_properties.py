@@ -1,4 +1,5 @@
-"""Property tests over generated contexts, against the exhaustive oracles.
+"""Property tests over generated contexts, against the exhaustive oracles
+and, for a duplicated element, against the run without it.
 
 Contexts have arity 1-4 (1-6 where bit rows are decoded) and up to three
 elements per dimension, including zero-size dimensions, empty, full and
@@ -22,6 +23,7 @@ from polyconcept import (
     brute_force_concepts,
     check_n_ordered,
     enumerate_concepts,
+    generate_random,
     introducer_oracle,
     introducers,
     parse_context,
@@ -238,3 +240,47 @@ def test_slice_equals_context_built_from_labels(ctx):
             assert sub.relation_size == ref.relation_size
             assert sub._layers == ref._layers
             assert sub.provenance == (d.name, x) and ref.provenance is None
+
+
+def _check_duplicated_element(ctx, i, x):
+    """Give dimension i a new label with element x's bit row: the concepts
+    and introducer records are the old ones, with the new label beside x."""
+    d = ctx.dims[i]
+    y = x + "+"
+    while y in d:
+        y += "+"
+    dims = [(e.name, e.elements + (y,) if e is d else e.elements) for e in ctx.dims]
+    tuples = ctx.tuples()
+    new = NContext(dims, tuples + tuple(t[:i] + (y,) + t[i + 1 :] for t in tuples if t[i] == x))
+
+    def grown(labels):  # y is the last element of dimension i
+        return labels + (y,) if x in labels else labels
+
+    def concept(t):
+        return new.box(*(grown(c) if k == i else c for k, c in enumerate(t.components)))
+
+    assert enumerate_concepts(new) == {concept(t) for t in enumerate_concepts(ctx)}
+    if ctx.arity > 1:
+        records = {
+            IntroducerRecord(
+                concept(r.concept),
+                tuple((k, grown(ls) if k == i + 1 else ls) for k, ls in r.introduces),
+            )
+            for r in introducers(ctx)
+        }
+        found = introducers(new)
+        assert len(found) == len(records) and set(found) == records
+
+
+@PROPERTY
+@given(contexts().filter(lambda ctx: any(ctx.dims)), st.data())
+def test_duplicated_element_joins_the_old_one(ctx, data):
+    i = data.draw(st.sampled_from([k for k, d in enumerate(ctx.dims) if d.elements]))
+    _check_duplicated_element(ctx, i, data.draw(st.sampled_from(ctx.dims[i].elements)))
+
+
+def test_duplicated_element_joins_the_old_one_on_6x6x6x6():
+    # 1,139 concepts and records: a size tier-1 runs no oracle on
+    ctx = generate_random((6, 6, 6, 6), 0.5, 1)
+    _check_duplicated_element(ctx, 0, "a1")
+    _check_duplicated_element(ctx, 3, "d6")
