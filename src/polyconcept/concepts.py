@@ -8,14 +8,15 @@ ICDM 2006) down to two dimensions, whose closed pairs are the concepts.  A
 candidate j is tested for canonicity on the rows below j, and only a
 canonical one is closed, on the rows from j up.  ``enumerate_concepts`` runs
 it on the relation of a context and the introducer computation on each
-slice's row of it, both as ``NContext._search_input`` lays it out.
+slice's row of it, both as ``NContext._search_input`` lays it out; both take
+its concepts as component masks.
 ``brute_force_concepts``, the exhaustive oracle, must agree with it on every
 input the oracle can afford, and the test suite holds them to that.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .context import ComponentTuple, NContext, _elements
@@ -146,23 +147,23 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, lv: int = 0):
 
 def closed_tuples(
     sizes: Sequence[int], cells: Sequence[int], rel: int, back: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every concept of an n-ary relation, exactly once, as index tuples.
+) -> Iterator[tuple[int, ...]]:
+    """Every concept of an n-ary relation, exactly once, as component masks
+    in original order.
 
     ``rel`` masks the cells of a product of dimensions of the given sizes,
     cell ``(p_1, ..., p_n)`` at bit ``sum(p_k * cells[k])`` with the last
     dimension fastest; ``back[j]`` is the rank of the dimension at original
-    position j, and components come out in original order.  The arguments
-    are what ``NContext._search_input`` returns, whose sizes ascend, so
-    every level of the nested search has the smallest dimension left as its
-    outer one, which bounds the cost of a closure.  A 1-ary relation is its
-    own single concept and is yielded without a search.
+    position j.  The arguments are what ``NContext._search_input`` returns,
+    whose sizes ascend, so every level of the nested search has the smallest
+    dimension left as its outer one, which bounds the cost of a closure.  A
+    1-ary relation is its own single concept, yielded without a search.
     """
     if len(sizes) == 1:
-        yield (_elements(rel),)
+        yield (rel,)
         return
     for masks, _ in _cbo(sizes, cells, rel):
-        yield tuple([_elements(masks[k]) for k in back])
+        yield tuple(map(masks.__getitem__, back))
 
 
 def enumerate_concepts(
@@ -171,18 +172,18 @@ def enumerate_concepts(
     """All n-concepts of ``ctx``, canonically ordered.
 
     Every result of ``closed_tuples`` is re-checked with the concept test,
-    and a failure raises ``ConsistencyError``.  ``max_concepts`` is an
-    optional hard cap; exceeding it raises ``ConceptLimitError``.
+    then decoded; a failure raises ``ConsistencyError``.  ``max_concepts`` is
+    an optional hard cap; exceeding it raises ``ConceptLimitError``.
     """
-    found: set[tuple[tuple[int, ...], ...]] = set()
-    for pos in closed_tuples(*ctx._search_input()):
-        found.add(pos)
+    found: set[tuple[int, ...]] = set()
+    for masks in closed_tuples(*ctx._search_input()):
+        found.add(masks)
         if max_concepts is not None and len(found) > max_concepts:
             raise ConceptLimitError(f"more than {max_concepts} concepts in {ctx!r}")
-    for pos in found:
-        if not ctx._is_concept_pos(pos):
-            raise ConsistencyError(f"{ctx._text(pos)} is not a concept of {ctx!r}")
-    return ConceptSet(ctx, found)
+    for masks in found:
+        if not ctx._is_concept_mask(masks):
+            raise ConsistencyError(f"{ctx._text(masks)} is not a concept of {ctx!r}")
+    return ConceptSet(ctx, [tuple(map(_elements, masks)) for masks in found])
 
 
 def oracle_cost(ctx: NContext) -> int:
@@ -201,10 +202,10 @@ def brute_force_concepts(
 ) -> ConceptSet:
     """Definitionally complete concept enumeration, for verification only.
 
-    Walks every subset combination of all dimensions except the largest,
-    derives the maximal remaining component, and keeps the index tuples
-    maximal in every other dimension, sorted.  Refuses inputs whose
-    combination count exceeds ``cap``.
+    Walks every combination of component masks of all dimensions but the
+    largest, derives the maximal remaining component, and keeps the tuples
+    maximal in every other dimension.  Refuses inputs whose combination
+    count exceeds ``cap``.
     """
     cost = oracle_cost(ctx)
     if cost > cap:
@@ -213,17 +214,10 @@ def brute_force_concepts(
         )
     sizes = [len(d) for d in ctx.dims]
     k = sizes.index(max(sizes))
-
-    def subsets(size: int):
-        return itertools.chain.from_iterable(
-            itertools.combinations(range(size), r) for r in range(size + 1)
-        )
-
     hits = set()
-    widths = (subsets(s) for j, s in enumerate(sizes) if j != k)
-    for combo in itertools.product(*widths):
-        pos = combo[:k] + (ctx._extend_pos(k, combo),) + combo[k:]
-        # pos[k] is the extension of the others, so only they can fail.
-        if ctx._is_concept_pos(pos, k):
-            hits.add(pos)
+    for combo in product(*[range(1 << s) for j, s in enumerate(sizes) if j != k]):
+        masks = combo[:k] + (ctx._extend_mask(k, combo),) + combo[k:]
+        # masks[k] is the extension of the others, so only they can fail.
+        if ctx._is_concept_mask(masks, k):
+            hits.add(tuple(map(_elements, masks)))
     return ConceptSet(ctx, hits)

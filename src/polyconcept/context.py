@@ -6,22 +6,22 @@ order diagrams) is built on three primitives defined here: slicing the table
 at one element, testing whether a tuple of component sets is a box full of
 crosses, and testing whether such a box is maximal in every dimension.
 
-Element identity is label-based at the boundary and index-based internally;
-the element order declared at construction time fixes the canonical ordering
-of every component set produced by the library.  The relation is held once,
-as one bit row per (dimension, element) over the cells of the other
-dimensions, laid out here only, smallest dimension slowest, as the concept
-search reads them.  A slice context is cut from the parent's rows of the
-dimensions it keeps, bit block by bit block, without decoding a cell or
-going through labels; layouts are computed once per shape.
+Labels are read and printed at the boundary; the box tests, the search and
+the introducer merge hold a component as a bitmask, bit p for element p of
+the declared element order, which fixes the canonical ordering of every
+component set; index tuples are made only as keys.  The relation is held
+once, as one bit row per (dimension, element) over the cells of the other
+dimensions, laid out here only, smallest dimension slowest, as the search
+reads them.  A slice context is cut from the parent's rows, bit block by bit
+block, without decoding a cell or going through labels; layouts are cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
-from operator import add, and_, ge, getitem, index, mul
+from operator import add, ge, getitem, index, mul
 from typing import Iterable, Sequence
 
 MAX_ARITY = 500  # the concept search nests one generator per dimension
@@ -89,6 +89,11 @@ def component_text(components: Iterable[Sequence[str]], seps: Iterable[str]) -> 
     return "(" + ", ".join([s.join(c) if c else "∅" for s, c in zip(seps, components)]) + ")"
 
 
+def _mask(positions: Iterable[int]) -> int:
+    """The bitmask of a collection of element indices."""
+    return sum(map((1).__lshift__, positions))
+
+
 def _elements(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending: looked up below
     ``_SMALL``, else peeled off lowest first."""
@@ -100,6 +105,26 @@ def _elements(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _inclusion(comps: Sequence[tuple[int, ...]], size: int) -> tuple[dict, list[int]]:
+    """For each distinct component c, in order of first appearance, the
+    positions whose component contains c: the AND over c's elements of
+    ``has[x]``, the positions holding element x, which is also returned.
+    Components are tuples of element indices below ``size``."""
+    everyone = (1 << len(comps)) - 1
+    has = [0] * size
+    for p, comp in enumerate(comps):
+        bit = 1 << p
+        for x in comp:
+            has[x] |= bit
+    up = {}
+    for comp in dict.fromkeys(comps):
+        above = everyone
+        for x in comp:
+            above &= has[x]
+        up[comp] = above
+    return up, has
 
 
 @dataclass(frozen=True)
@@ -395,38 +420,46 @@ class NContext:
 
     # -- bit-row machinery ---------------------------------------------------
 
-    def _extend_pos(self, i0: int, comps: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        """All elements of dimension i0 whose layer covers the given width.
+    def _extend_mask(self, i0: int, masks: Sequence[int]) -> int:
+        """Mask of the elements of dimension i0 whose layer covers the width,
+        given as component masks of the other dimensions in original order.
 
-        ``comps`` are index components for the dimensions other than i0, in
-        original order.  An empty width component makes every layer qualify
-        vacuously; for a 1-dimensional context the result is the relation.
-        In two dimensions a width smaller than this dimension ANDs the width's
-        rows (this one's columns); otherwise this dimension's rows are scanned
-        for the width's mask, built one dimension at a time, smallest stride
-        first, from shifted copies (cell ``p`` at bit ``sum(p_k * stride_k)``).
+        An empty component makes every layer qualify vacuously; a 1-D context
+        extends to its relation.  A 2-D width of fewer elements than this
+        dimension has rows ANDs its rows (this one's columns); otherwise the
+        rows are scanned for the width's cells: the width mask itself in 2-D,
+        else shifted copies (cell ``p`` at bit ``sum(p_k * stride_k)``).
         """
         rows = self._layers[i0]
-        if self._arity == 2 and len(comps[0]) < len(rows):
-            cols = self._layers[1 - i0]
-            return _elements(reduce(and_, map(cols.__getitem__, comps[0]), (1 << len(rows)) - 1))
-        if not all(comps):
-            return tuple(range(len(rows)))
-        strides, w = self._strides[i0], 1
-        for k in self._wide[i0]:
-            acc = 0
-            for p in comps[k]:
-                acc |= w << p * strides[k]
+        if not all(masks):
+            return (1 << len(rows)) - 1
+        if self._arity == 2 and masks[0].bit_count() < len(rows):
+            w, cols, ext = masks[0], self._layers[1 - i0], (1 << len(rows)) - 1
+            while w:
+                ext &= cols[(w & -w).bit_length() - 1]
+                w &= w - 1  # drop the lowest bit
+            return ext
+        strides, wide = self._strides[i0], self._wide[i0]
+        w = masks[wide[0]] if wide else 1  # the fastest has stride 1
+        for k in wide[1:]:
+            m, acc = masks[k], 0
+            while m:
+                acc |= w << ((m & -m).bit_length() - 1) * strides[k]
+                m &= m - 1
             w = acc
-        return tuple([e for e, row in enumerate(rows) if row & w == w])
+        ext = 0
+        for e, row in enumerate(rows):
+            if row & w == w:
+                ext |= 1 << e
+        return ext
 
     def _extend(self, i0: int, width: Sequence[Iterable[str]]) -> tuple[str, ...]:
-        """``_extend_pos`` from and to labels, for ``derive`` and ``extend_height``."""
+        """``_extend_mask`` from and to labels, for ``derive`` and ``extend_height``."""
         others = self._dims[:i0] + self._dims[i0 + 1 :]
         if len(width) != len(others):
             raise InputError(f"width has {len(width)} components, expected {len(others)}")
-        ext = self._extend_pos(i0, [d._positions(c) for d, c in zip(others, width)])
-        return tuple(map(self._dims[i0].elements.__getitem__, ext))
+        ext = self._extend_mask(i0, [_mask(d._positions(c)) for d, c in zip(others, width)])
+        return tuple(map(self._dims[i0].elements.__getitem__, _elements(ext)))
 
     def _search_input(self, i0: int | None = None, x: int = 0):
         """(sizes, cells, mask, back), the input of ``concepts.closed_tuples``.
@@ -453,32 +486,27 @@ class NContext:
 
         A tuple with any empty component is vacuously full.
         """
-        pos = self.sort_key(t)
-        return set(pos[0]).issubset(self._extend_pos(0, pos[1:]))
+        masks = tuple(map(_mask, self.sort_key(t)))
+        return masks[0] & ~self._extend_mask(0, masks[1:]) == 0
 
     def is_concept(self, t: ComponentTuple) -> bool:
         """True iff t, checked by ``sort_key``, is a full box maximal in every
         dimension."""
-        return self._is_concept_pos(self.sort_key(t))
+        return self._is_concept_mask(tuple(map(_mask, self.sort_key(t))))
 
-    def _is_concept_pos(
-        self, pos: tuple[tuple[int, ...], ...], derived: int | None = None
-    ) -> bool:
-        """``is_concept`` on index components: each equals the extension of
+    def _is_concept_mask(self, masks: tuple[int, ...], derived: int | None = None) -> bool:
+        """``is_concept`` on component masks: each equals the extension of
         the others (for any one dimension that also makes the box full).
         Dimension ``derived``, whose component the caller made the extension
         of the others, is not tested again."""
-        width = list(pos[1:])  # pos without component i, updated in place
-        for i, comp in enumerate(pos):
-            if i:
-                width[i - 1] = pos[i - 1]
-            if i != derived and self._extend_pos(i, width) != comp:
+        for i, m in enumerate(masks):
+            if i != derived and self._extend_mask(i, masks[:i] + masks[i + 1 :]) != m:
                 return False
         return True
 
-    def _text(self, pos: tuple[tuple[int, ...], ...]) -> str:
-        """Index components as the CLI prints them, for error messages."""
-        return component_text(self._labelled(pos).components, self._seps)
+    def _text(self, masks: tuple[int, ...]) -> str:
+        """Component masks as the CLI prints them, for error messages."""
+        return component_text(self._labelled(tuple(map(_elements, masks))).components, self._seps)
 
     def _labelled(self, pos: tuple[tuple[int, ...], ...]) -> ComponentTuple:
         """The ComponentTuple of ascending index components, carrying them."""

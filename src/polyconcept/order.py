@@ -9,11 +9,9 @@ dependency).  Since a single dimension induces only a quasi-order, diagrams
 group members into equivalence classes (equal component) and draw the
 covering relation of the classes after transitive reduction.
 
-Both are built from one kernel, ``_inclusion``: for each of a list of
-components, given as element indices, the bitset of the positions whose
-component contains it.  The diagrams need only that direction; the axiom
-check also needs the positions each component contains, which ``_up_down``
-derives from the same bitsets.
+Both are built from ``context._inclusion``, the positions whose component
+contains each component; the axiom check also needs the positions each one
+contains, which ``_up_down`` derives from the same bitsets.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .context import ArityError, ComponentTuple, InputError, NContext, _elements
+from .context import ArityError, ComponentTuple, InputError, NContext, _elements, _inclusion
 from .introducers import IntroducerRecord, introducers
 
 
@@ -30,29 +28,7 @@ def _tuple_of(member) -> ComponentTuple:
         return member.concept
     if isinstance(member, ComponentTuple):
         return member
-    raise InputError(
-        f"expected ComponentTuple or IntroducerRecord, got {type(member).__name__}"
-    )
-
-
-def _inclusion(comps: Sequence[tuple[int, ...]], size: int) -> tuple[dict, list[int]]:
-    """For each distinct component c, in order of first appearance, the
-    positions whose component contains c: the AND over c's elements of
-    ``has[x]``, the positions holding element x, which is also returned.
-    Components are tuples of element indices below ``size``."""
-    everyone = (1 << len(comps)) - 1
-    has = [0] * size
-    for p, comp in enumerate(comps):
-        bit = 1 << p
-        for x in comp:
-            has[x] |= bit
-    up = {}
-    for comp in dict.fromkeys(comps):
-        above = everyone
-        for x in comp:
-            above &= has[x]
-        up[comp] = above
-    return up, has
+    raise InputError(f"expected ComponentTuple or IntroducerRecord, got {type(member).__name__}")
 
 
 def _up_down(comps: Sequence[tuple[int, ...]], size: int) -> tuple[list[int], list[int], int]:
@@ -69,8 +45,9 @@ def _up_down(comps: Sequence[tuple[int, ...]], size: int) -> tuple[list[int], li
         cols = [0] * len(up)
         for p, row in enumerate(up):
             bit = 1 << p
-            for q in _elements(row):
-                cols[q] |= bit
+            while row:
+                cols[(row & -row).bit_length() - 1] |= bit
+                row &= row - 1  # drop the lowest bit
         return up, cols, pairs
     everyone = (1 << len(comps)) - 1
     elements = set(range(size))
@@ -136,20 +113,23 @@ def check_n_ordered(members: Sequence) -> OrderReport:
 
     uniq: set[tuple[ComponentTuple, ComponentTuple]] = set()
     anti: set[tuple[ComponentTuple, ComponentTuple]] = set()
-    for p, t in enumerate(tuples):
-        ups = [up[p] for up, _, _ in rel]  # per dimension: members above p
-        downs = [down[p] for _, down, _ in rel]  # per dimension: members below p
+    # per member, across dimensions: the members above it and those below it
+    ups = zip(*[up for up, _, _ in rel]) if n else [()] * len(tuples)
+    downs = zip(*[down for _, down, _ in rel]) if n else [()] * len(tuples)
+    for p, (t, up, down) in enumerate(zip(tuples, ups, downs)):
         same = everyone >> (p + 1) << (p + 1)  # only pairs with q > p
         bad = 0
-        for j in range(n):
-            same &= ups[j] & downs[j]
+        for j, below in enumerate(down):
+            same &= up[j] & below
             below_rest = everyone
-            for i in range(n):
+            for i, above in enumerate(up):
                 if i != j:
-                    below_rest &= ups[i]
-            bad |= below_rest & ~downs[j]
-        uniq.update((t, tuples[q]) for q in _elements(same))
-        anti.update((t, tuples[q]) for q in _elements(bad))
+                    below_rest &= above
+            bad |= below_rest & ~below
+        if same:
+            uniq.update((t, tuples[q]) for q in _elements(same))
+        if bad:
+            anti.update((t, tuples[q]) for q in _elements(bad))
 
     def order_pairs(pairs):
         return tuple(sorted(pairs, key=lambda ab: (ab[0].components, ab[1].components)))

@@ -282,7 +282,7 @@ def test_enumerator_fault_is_a_consistency_error(fig1, monkeypatch):
     # The search also yields (1, a), a full box of fig1 that is not maximal:
     # the re-check reports a bug, not bad input.
     search = concepts.closed_tuples
-    monkeypatch.setattr(concepts, "closed_tuples", lambda *a: [*search(*a), ((0,), (0,))])
+    monkeypatch.setattr(concepts, "closed_tuples", lambda *a: [*search(*a), (0b1, 0b1)])
     with pytest.raises(ConsistencyError, match=r"^\(1, a\) is not a concept of <NContext 3x3"):
         enumerate_concepts(fig1)
 

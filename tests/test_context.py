@@ -331,26 +331,40 @@ def test_component_tuple_equality_is_setwise():
 
 
 def _extension_by_cells(ctx, i0, width):
-    """Positions of the elements x of dimension i0 for which ``ctx.has``
-    holds on x joined to every cell of the product of the index components
+    """Mask of the elements x of dimension i0 for which ``ctx.has`` holds on
+    x joined to every cell of the product of the index components
     ``width``."""
     dims = ctx.dims
     others = dims[:i0] + dims[i0 + 1 :]
     labels = [[d.elements[p] for p in c] for d, c in zip(others, width)]
     cells = list(itertools.product(*labels))
-    return tuple(
-        e for e, x in enumerate(dims[i0].elements)
+    return sum(
+        1 << e for e, x in enumerate(dims[i0].elements)
         if all(ctx.has(cell[:i0] + (x,) + cell[i0:]) for cell in cells)
     )
 
 
+def _masks(comps):
+    return tuple(sum(1 << p for p in c) for c in comps)
+
+
+def _is_concept_by_cells(ctx, comps):
+    """Each index component is the cell-by-cell extension of the others."""
+    return all(
+        _extension_by_cells(ctx, i, comps[:i] + comps[i + 1 :]) == _masks([c])[0]
+        for i, c in enumerate(comps)
+    )
+
+
 def test_extension_matches_cell_by_cell_reference():
-    # 1-D to 4-D shapes with zero-element dimensions, empty to full
+    # 1-D to 4-D shapes with zero- and one-element dimensions, empty to full
     # relations, random widths including empty components.
     rng = random.Random(20)
+    seen = set()
     for n in range(1, 5):
         for _ in range(40):
             sizes = [rng.randint(0, 4) for _ in range(n)]
+            seen.update({"1-D"} if n == 1 else (), {"one-element"} if 1 in sizes else ())
             labels = [[f"e{p}" for p in range(s)] for s in sizes]
             density = rng.choice((0, 0.5, 0.9, 1))
             ctx = NContext(
@@ -364,9 +378,12 @@ def test_extension_matches_cell_by_cell_reference():
                     for s in other
                 ]
                 expected = _extension_by_cells(ctx, i0, comps)
-                assert ctx._extend_pos(i0, comps) == expected, (sizes, i0, comps)
+                assert ctx._extend_mask(i0, _masks(comps)) == expected, (sizes, i0, comps)
+                seen.update({"empty mask"} if not all(comps) else ())
+    assert seen == {"1-D", "one-element", "empty mask"}
     one = NContext([("d", "abc")], [("a",), ("c",)])
-    assert one._extend_pos(0, ()) == (0, 2)
+    assert one._extend_mask(0, ()) == 0b101
+    assert one._is_concept_mask((0b101,)) and not one._is_concept_mask((0b1,))
 
 
 def test_two_dimensional_extension_matches_row_scan():
@@ -386,9 +403,36 @@ def test_two_dimensional_extension_matches_row_scan():
                     for _ in range(3):
                         width = (tuple(sorted(rng.sample(range(other), r))),)
                         expected = _extension_by_cells(ctx, i0, width)
-                        assert ctx._extend_pos(i0, width) == expected, (sizes, density, i0, width)
+                        got = ctx._extend_mask(i0, _masks(width))
+                        assert got == expected, (sizes, density, i0, width)
                         branches.add(r < len(rows))
     assert branches == {True, False} and crossless
+
+
+def test_concept_test_matches_cell_by_cell_reference():
+    # Every box of small 1-D to 3-D contexts, with one-element and empty
+    # dimensions; a derived dimension is taken as the extension of the
+    # others and not tested again.
+    rng = random.Random(32)
+    hits = 0
+    for sizes in ((3,), (2, 3), (3, 1), (2, 0), (1, 2, 2), (2, 2, 2)):
+        labels = [[f"e{p}" for p in range(s)] for s in sizes]
+        ctx = NContext(
+            [(f"d{k}", ls) for k, ls in enumerate(labels)],
+            [t for t in itertools.product(*labels) if rng.random() < 0.6],
+        )
+        subsets = [
+            [c for r in range(s + 1) for c in itertools.combinations(range(s), r)]
+            for s in sizes
+        ]
+        for comps in itertools.product(*subsets):
+            expected = _is_concept_by_cells(ctx, comps)
+            assert ctx._is_concept_mask(_masks(comps)) == expected, (sizes, comps)
+            for k in range(len(sizes)):
+                if _extension_by_cells(ctx, k, comps[:k] + comps[k + 1 :]) == _masks([comps[k]])[0]:
+                    assert ctx._is_concept_mask(_masks(comps), k) == expected, (sizes, comps, k)
+            hits += expected
+    assert hits
 
 
 def test_decoder_matches_bit_loop():

@@ -1,14 +1,20 @@
 """Parsers, serializers, DOT export, and the seeded generator."""
 
+import importlib
 import itertools
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
 import polyconcept
 from polyconcept import (
     ComponentTuple,
+    DiagramNode,
+    DimensionDiagram,
     InputError,
+    IntroducerRecord,
     NContext,
     ParseError,
     dimension_diagram,
@@ -491,6 +497,60 @@ def test_format_record_spaces_labels_when_one_is_longer():
     ctx = NContext([("d1", ["a", "bc", "d"]), ("d2", "xy")], [])
     assert format_record(ctx, ComponentTuple((("a", "d"), ("x", "y")))) == "(a d, xy)"
     assert format_record(ctx, ComponentTuple((("bc",), ()))) == "(bc, ∅)"
+
+
+class TestRecordText:
+    """An introducer record's line: a bad annotation is an input error, and
+    the text a context renders is kept for that context only."""
+
+    RENDERERS = {
+        "format_record": format_record,
+        "serialize_concepts": lambda ctx, r: serialize_concepts(ctx, [r]),
+        "export_dot": lambda ctx, r: export_dot(
+            ctx, DimensionDiagram(1, (DiagramNode(r.concept.components[0], (r,)),), ())
+        ),
+    }
+
+    @pytest.mark.parametrize("render", sorted(RENDERERS))
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_annotation_outside_the_dimensions_is_an_input_error(self, fig1, render, dim):
+        record = IntroducerRecord(fig1.box(["1"], ["a", "b"]), ((dim, ("1",)),))
+        with pytest.raises(InputError, match=rf"^dimension {dim} is not in 1\.\.2$"):
+            self.RENDERERS[render](fig1, record)
+
+    def test_repeated_render_gives_the_same_text_built_once(self, fig1, monkeypatch):
+        module = importlib.import_module("polyconcept.introducers")  # not the function
+        built = []
+        monkeypatch.setattr(module, "component_text", lambda *a: built.append(a) or "(c)")
+        record = introducers(fig1)[0]
+        assert format_record(fig1, record) == format_record(fig1, record)
+        assert format_record(fig1, record, "\t") == "(c)\tintroduces objects: 1"
+        assert len(built) == 1
+
+    def test_another_context_gets_its_own_text(self, fig1):
+        record = introducers(fig1)[0]
+        renamed = NContext([("rows", "123"), ("cols", "abc")], fig1.tuples())
+        spaced = NContext([("objects", "123"), ("attributes", ["a", "b", "c", "dd"])], fig1.tuples())
+        expected = {
+            fig1: "(1, ab) introduces objects: 1",
+            renamed: "(1, ab) introduces rows: 1",
+            spaced: "(1, a b) introduces objects: 1",
+        }
+        for ctx in (fig1, renamed, fig1, spaced, spaced, fig1):
+            assert format_record(ctx, record) == expected[ctx]
+            assert str(record) == "(1, a b) introduces 1: 1"
+        assert serialize_concepts(renamed, [record]) == "(1, ab)\tintroduces rows: 1\n"
+
+    def test_rendered_text_is_not_part_of_the_value(self, fig1):
+        rendered, fresh = introducers(fig1)[0], introducers(fig1)[0]
+        format_record(fig1, rendered)
+        assert "_cache" in vars(rendered) and "_cache" not in vars(fresh)
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert repr(rendered) == repr(fresh) and "introduces objects" not in repr(rendered)
+        copied = pickle.loads(pickle.dumps(rendered))
+        assert copied == rendered and "_cache" not in vars(copied)
+        assert pickle.dumps(rendered) == pickle.dumps(fresh)
+        assert "_cache" not in vars(replace(rendered))
 
 
 def test_every_exported_name_resolves():

@@ -17,6 +17,7 @@ from polyconcept import (
     introducers,
     nontrivial_filter,
 )
+from polyconcept.context import _elements
 
 from conftest import (
     FIG1_GSH,
@@ -264,39 +265,49 @@ class TestStructuralInvariants:
 
 class TestConsistencyChecks:
     """Each extension is checked against the others by fault injection:
-    ``_extend_pos`` is made to answer wrongly for one dimension."""
+    ``_extend_mask`` is made to answer wrongly for one dimension."""
 
     @staticmethod
     def _fault(monkeypatch, dim0, wrong):
-        extend = NContext._extend_pos
+        extend = NContext._extend_mask
 
-        def faulty(self, i0, comps):
-            ext = extend(self, i0, comps)
+        def faulty(self, i0, masks):
+            ext = extend(self, i0, masks)
             return wrong(ext) if i0 == dim0 else ext
 
-        monkeypatch.setattr(NContext, "_extend_pos", faulty)
+        monkeypatch.setattr(NContext, "_extend_mask", faulty)
+
+    @staticmethod
+    def _drop_first(ext):
+        return ext & ext - 1  # without its lowest element
 
     def test_extension_that_loses_its_element(self, fig3, monkeypatch):
         # the first slice is at element 0 of dimension 1, the first
         # position of every correct extension there
-        self._fault(monkeypatch, 0, lambda ext: ext[1:])
+        self._fault(monkeypatch, 0, self._drop_first)
         with pytest.raises(ConsistencyError, match="lost 'α'"):
             introducer_dim(fig3, 1)
 
     def test_extension_that_is_not_a_concept(self, fig3, monkeypatch):
         # slicing dimension 1, the re-check of dimension 3 answers wrongly
-        self._fault(monkeypatch, 2, lambda ext: ext[1:] if ext else (0,))
+        self._fault(monkeypatch, 2, lambda ext: self._drop_first(ext) if ext else 1)
         with pytest.raises(ConsistencyError, match="is not a concept"):
+            introducer_dim(fig3, 1)
+
+    def test_lost_element_is_named_at_its_own_slice(self, fig3, monkeypatch):
+        # only a concept of layer β alone loses its element, at the slice at β
+        self._fault(monkeypatch, 0, lambda ext: 0 if ext == 0b10 else ext)
+        with pytest.raises(ConsistencyError, match=r"^extension of \(β, [^()]*\) lost 'β'$"):
             introducer_dim(fig3, 1)
 
     def test_cli_reports_a_failed_check_as_one_error_line(self, monkeypatch, capsys):
         # a bug, not a failed verification: exit 2, no traceback
-        self._fault(monkeypatch, 0, lambda ext: ext[1:])
+        self._fault(monkeypatch, 0, self._drop_first)
         assert cli.main(["introducers", str(FIXTURES / "fig3.tsv")]) == 2
         assert capsys.readouterr() == ("", "error: extension of (α, ∅, abc) lost 'α'\n")
 
     def test_failed_check_prints_its_concept_as_format_record_does(self, fig3, monkeypatch):
-        self._fault(monkeypatch, 0, lambda ext: ext[1:])
+        self._fault(monkeypatch, 0, self._drop_first)
         with pytest.raises(ConsistencyError) as err:
             introducer_dim(fig3, 1)
         text = format_record(fig3, fig3.box(["α"], [], ["a", "b", "c"]))
@@ -307,13 +318,13 @@ def test_one_concept_test_per_record(monkeypatch):
     # A concept reached from several slices is tested on its first arrival
     # only: 1,543 tests for these 337 records when each arrival was tested.
     calls = []
-    is_concept = NContext._is_concept_pos
+    is_concept = NContext._is_concept_mask
 
-    def counted(self, pos, derived=None):
-        calls.append(pos)
-        return is_concept(self, pos, derived)
+    def counted(self, masks, derived=None):
+        calls.append(tuple(map(_elements, masks)))
+        return is_concept(self, masks, derived)
 
-    monkeypatch.setattr(NContext, "_is_concept_pos", counted)
+    monkeypatch.setattr(NContext, "_is_concept_mask", counted)
     records = 0
     for density in (0.2, 0.4, 0.6):
         for seed in range(8):

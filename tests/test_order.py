@@ -21,6 +21,8 @@ from polyconcept import (
     serialize_tuples,
 )
 
+from polyconcept.order import _numbered, _up_down
+
 from conftest import FIG1_COVER_EDGES, FIG1_GSH_EDGES, box
 
 
@@ -109,10 +111,32 @@ class TestAxioms:
         assert report.antiordinal_violations == anti and anti
         assert report.per_dimension_relation_sizes == sizes
 
+    def test_members_above_and_below_are_exact_bitsets(self):
+        # Both ways of finding the members below, on the columns of the test
+        # above, give exactly the positions of the member list, no others.
+        members = [
+            ComponentTuple(((f"o{p}",), tuple("abc"[: 1 + p % 3]))) for p in range(37)
+        ]
+        members += [members[0], ComponentTuple((("o1",), ("a", "b", "c")))]
+        for i in (0, 1):
+            comps, size = _numbered([m.components[i] for m in members])
+            up, down, pairs = _up_down(comps, size)
+            sets = list(map(set, comps))
+            assert up == [sum(1 << q for q, d in enumerate(sets) if c <= d) for c in sets]
+            assert down == [sum(1 << q for q, d in enumerate(sets) if d <= c) for c in sets]
+            assert pairs == sum(map(int.bit_count, up))
+
     def test_empty_input(self):
         report = check_n_ordered([])
         assert report.ok
         assert report.per_dimension_relation_sizes == ()
+
+    def test_nullary_members_are_all_equal(self):
+        # no dimension tells 0-ary members apart, so each pair breaks uniqueness
+        empty = ComponentTuple(())
+        report = check_n_ordered([empty, ComponentTuple(()), empty])
+        assert report.uniqueness_violations == ((empty, empty),)
+        assert report.antiordinal_ok and report.per_dimension_relation_sizes == ()
 
     def test_rejects_bad_members(self):
         with pytest.raises(InputError, match="members have mixed arity"):

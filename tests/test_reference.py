@@ -2,10 +2,12 @@
 kernel with them.
 
 ``brute_force_concepts``, ``enumerate_concepts`` and the introducer
-computation all read the context's bit rows through ``NContext._extend_pos``,
-so a fault there could move an oracle together with the answer it checks.  The reference here reads only ``ctx.tuples()``: concepts
-are the maximal full boxes of that set of label cells, and introducers come
-from the pairwise definition over them, written with frozensets.
+computation all read the context's bit rows through one mask kernel,
+``NContext._extend_mask`` and ``NContext._is_concept_mask``, so a fault there
+could move an oracle together with the answer it checks.  The reference here
+reads only ``ctx.tuples()``: concepts are the maximal full boxes of that set
+of label cells, and introducers come from the pairwise definition over them,
+written with frozensets.
 """
 
 import hashlib

@@ -15,7 +15,7 @@ Each mutant changes one operator or constant inside the selected functions:
 
 Annotations and docstrings are left alone.  A ``NAME`` is a
 module of the package, ``context``, or a function or method in it,
-``context:NContext._extend_pos``; the default is every module.
+``context:NContext._extend_mask``; the default is every module.
 
 The tree (default: the checkout holding this script) is copied into a
 temporary directory, and only the copy is mutated, one mutant at a time.
@@ -62,6 +62,7 @@ COVERING = {
 
 # (module, function, original line, mutated line): mutants that survive
 # because they compute the same results.
+LOWEST_BIT = "x | -x is -(x & -x), and only its bit_length, which ignores the sign, is read"
 EQUIVALENT = {
     ("context", "_layout", "wide = tuple([k for k in reversed(order) if sizes[k] > 1])",
      "wide = tuple([k for k in reversed(order) if (sizes[k] >= 1)])"):
@@ -69,15 +70,21 @@ EQUIVALENT = {
     ("context", "NContext.slice", "st = self._strides[k][i0 - (i0 > k)]",
      "st = self._strides[k][i0 - ((i0 >= k))]"):
         "k != i0 on this line",
-    ("context", "NContext._extend_pos", "if self._arity == 2 and len(comps[0]) < len(rows):",
-     "if self._arity == 2 and (len(comps[0]) <= len(rows)):"):
+    ("context", "NContext._extend_mask", "if self._arity == 2 and masks[0].bit_count() < len(rows):",
+     "if self._arity == 2 and (masks[0].bit_count() <= len(rows)):"):
         "the threshold only picks which of two equal answers is computed",
+    ("context", "NContext._extend_mask", "ext &= cols[(w & -w).bit_length() - 1]",
+     "ext &= cols[((w | -w)).bit_length() - 1]"): LOWEST_BIT,
+    ("context", "NContext._extend_mask", "acc |= w << ((m & -m).bit_length() - 1) * strides[k]",
+     "acc |= w << (((m | -m)).bit_length() - 1) * strides[k]"): LOWEST_BIT,
     ("concepts", "_cbo", "spread = [1 << b * stride if lv else 0 for b in range(n)]",
      "spread = [1 << b * stride if lv else (1) for b in range(n)]"):
         "level 0's spread is unused: closed_tuples drops its box",
     ("order", "_up_down", "if pairs <= len(above) * size - sum(map(len, above)):",
      "if (pairs < len(above) * size - sum(map(len, above))):"):
         "the threshold only picks which of two equal answers is computed",
+    ("order", "_up_down", "cols[(row & -row).bit_length() - 1] |= bit",
+     "cols[((row | -row)).bit_length() - 1] |= bit"): LOWEST_BIT,
 }
 
 CMP_SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
