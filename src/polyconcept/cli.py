@@ -183,8 +183,11 @@ def cmd_verify(args) -> int:
             extra = [format_record(ctx, t) for t in found if t not in reference]
             failure = f"missing={missing} extra={extra}"
         table["concept oracle"] = _verdict(failure, f"{len(found)} concepts")
-        # the same records as introducer_oracle(ctx), each copy counted
-        have, want = Counter(records), Counter(_oracle_records(ctx, reference))
+        # the same records as introducer_oracle(ctx), each copy counted; both
+        # come in canonical order, so only unequal tuples are counted
+        have, want = records, _oracle_records(ctx, reference)
+        if have != want:
+            have, want = Counter(have), Counter(want)
         failure = None
         if have != want:
             missing = [format_record(ctx, r) for r in (want - have).elements()]

@@ -16,6 +16,7 @@ input the oracle can afford, and the test suite holds them to that.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -94,7 +95,16 @@ class ConceptSet:
         return f"<ConceptSet of {len(self)}>"
 
 
-def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, lv: int = 0):
+@lru_cache(maxsize=1024)
+def _spreads(sizes: tuple[int, ...], cells: tuple[int, ...]) -> tuple:
+    """Per level of ``_cbo``, bit ``b * cells[lv]`` of each row b; at level 0,
+    whose boxes ``closed_tuples`` drops, 0 for each row."""
+    return ((0,) * sizes[0],) + tuple([
+        tuple([1 << b * cells[lv] for b in range(sizes[lv])]) for lv in range(1, len(sizes))
+    ])
+
+
+def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, spreads, lv: int = 0):
     """(component masks, box mask) of every concept of ``rel``, each once.
 
     ``rel`` is a relation over the dimensions of ``sizes`` from level ``lv``
@@ -108,21 +118,21 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, lv: int = 0):
     of C as an (n-1)-ary relation gives the concept (A, T) iff no row
     outside A covers T's box, so the levels nest down to two dimensions and
     never reach one.  Box masks are built below level 0 only, as cells times
-    the spread of A (bit ``b * stride`` per row b of A) carried on the stack.
+    the spread of A, the sum of ``spreads[lv]`` over the rows of A, carried
+    on the stack.
     """
     n, stride, last = sizes[lv], cells[lv], lv + 2 == len(sizes)
-    full = (1 << stride) - 1
+    full, spread = (1 << stride) - 1, spreads[lv]
     rows = [rel >> b * stride & full for b in range(n)]
-    spread = [1 << b * stride if lv else 0 for b in range(n)]
     a = sum([1 << b for b in range(n) if rows[b] == full])
-    stack = [(a, full, 0, sum(map(spread.__getitem__, _elements(a))))]
+    stack = [(a, full, 0, lv and sum(map(spread.__getitem__, _elements(a))))]
     while stack:
         a, c, y, s = stack.pop()
         if last:
             yield (a, c), c * s
         else:
             out = _elements(a ^ (1 << n) - 1)  # the rows outside A
-            for comps, box in _cbo(sizes, cells, c, lv + 1):
+            for comps, box in _cbo(sizes, cells, c, spreads, lv + 1):
                 # The rows of A cover c, so a box that is all of c is kept.
                 for b in out if box != c else ():
                     if rows[b] & box == box:
@@ -162,7 +172,7 @@ def closed_tuples(
     if len(sizes) == 1:
         yield (rel,)
         return
-    for masks, _ in _cbo(sizes, cells, rel):
+    for masks, _ in _cbo(sizes, cells, rel, _spreads(tuple(sizes), tuple(cells))):
         yield tuple(map(masks.__getitem__, back))
 
 

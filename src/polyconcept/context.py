@@ -229,11 +229,16 @@ class NContext:
     reads the rows through ``_search_input``; everything else goes through
     the per-dimension strides.
 
-    Instances never change after construction; all operations are read-only
-    and safe to share between threads.  Slices are independent values: the
-    rows of a slice at x of dimension i are cut from the parent's rows of
-    the other dimensions, not from ``_layers[i][x]``.
+    A context never changes value: all operations are read-only and safe
+    to share between threads.  Slices are independent values: the rows of a
+    slice at x of dimension i are cut from the parent's rows of the other
+    dimensions, not from ``_layers[i][x]``.  Everything else about such a
+    slice depends on the shape only: it is built on the first slice of
+    dimension i, kept in ``_sliced`` and shared by every later one, down to
+    its ``dims`` tuple.  Two threads racing to fill it build equal shapes.
     """
+
+    _provenance = None  # (dimension name, element) on a slice
 
     def __init__(self, dims: Sequence, relation: Iterable[Sequence[str]] = ()):
         norm: list[Dimension] = []
@@ -283,15 +288,19 @@ class NContext:
             for p, o in zip(cols[i], offsets):
                 layer[p] |= 1 << o
 
-    def _shape(self, dims: tuple[Dimension, ...], provenance=None) -> None:
-        """Set checked dimensions, their text forms, each row ``_layout`` and a slice's origin."""
+    def _shape(self, dims: tuple[Dimension, ...]) -> None:
+        """Set checked dimensions, their text forms and label getters, the
+        ``_layout`` of the relation and of each dimension's rows, and an
+        empty cache of slice shapes."""
         self._dims = dims
         self._names = {d.index: d.name for d in dims}
         self._seps = tuple([d._sep for d in dims])
         self._lookup = tuple(d._pos for d in dims)  # read by _index
+        self._getters = tuple([d.elements.__getitem__ for d in dims])  # read by _labelled
         self._arity = len(dims)
-        self._provenance = provenance
+        self._sliced = {}
         sizes = tuple([len(d) for d in dims])
+        self._whole = _layout(sizes)
         _, self._strides, self._wide, self._ranked, self._cells, self._back = zip(
             *[_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
         )
@@ -474,7 +483,7 @@ class NContext:
             raise ArityError(f"concept search takes at most {MAX_ARITY} dimensions, got {self._arity}")
         if i0 is not None:
             return self._ranked[i0], self._cells[i0], self._layers[i0][x], self._back[i0]
-        order, _, _, sizes, cells, back = _layout(tuple([len(d) for d in self._dims]))
+        order, _, _, sizes, cells, back = self._whole
         mask = sum(row << y * cells[0] for y, row in enumerate(self._layers[order[0]]))
         return sizes, cells, mask, back
 
@@ -510,9 +519,9 @@ class NContext:
 
     def _labelled(self, pos: tuple[tuple[int, ...], ...]) -> ComponentTuple:
         """The ComponentTuple of ascending index components, carrying them."""
-        labels = [tuple(map(d.elements.__getitem__, c)) for d, c in zip(self._dims, pos)]
         t = object.__new__(ComponentTuple)  # frozen: filled as unpickling does
-        vars(t).update(components=tuple(labels), _key=pos, _dims=self._dims)
+        labels = tuple(map(tuple, map(map, self._getters, pos)))
+        vars(t).update(components=labels, _key=pos, _dims=self._dims)
         return t
 
     # -- slicing and 2D derivation --------------------------------------------
@@ -525,28 +534,49 @@ class NContext:
         removed.  Its layout is the parent's without that dimension, so each
         of its rows is the parent's row of that element, keeping the bits
         whose sliced digit is ``element``'s: one stride-long run per block of
-        the slower dimensions.  The result records where it was sliced.
+        the slower dimensions.  The result records where it was sliced; the
+        rest of it is the shape ``_slice_shape`` keeps.
         """
         if self._arity == 1:
             raise ArityError("cannot slice a 1-dimensional context")
         i0 = self._dim0(dim)
         src = self._dims[i0]
-        x, n = src.position(element), len(src)
+        x = src.position(element)
+        shape, cuts = self._sliced.get(i0) or self._slice_shape(i0)
+        sub = object.__new__(NContext)
+        vars(sub).update(shape, _provenance=(src.name, element))
+        sub._layers = layers = []
+        for k, st, low, runs in cuts:
+            rows, off = self._layers[k], x * st
+            if len(runs) == 1:  # the sliced dimension is the slowest: one run, (0, 0)
+                layers.append([r >> off & low for r in rows])
+            else:
+                layers.append([sum([(r >> a + off & low) << b for a, b in runs]) for r in rows])
+        return sub
+
+    def _slice_shape(self, i0: int) -> tuple[dict, list]:
+        """(attributes, cuts) shared by every slice of dimension i0, made on
+        first use and kept in ``_sliced``.  The attributes are what ``_shape``
+        sets for the other dimensions, renumbered, down to the slices' own
+        ``_sliced``, as a shape depends on the dimensions only.  A cut (k, st,
+        low, runs) makes the slice's rows of dimension k from the parent's:
+        for each run (a, b), the ``st`` bits at ``a + x * st`` move to bit b."""
+        n = len(self._dims[i0])
         dims = list(self._dims)
         del dims[i0]
         for k in range(i0, len(dims)):  # renumbered; no label is checked again
             d = dims[k] = object.__new__(Dimension)
             vars(d).update(vars(self._dims[k + 1]), index=k + 1)
-        sub = object.__new__(NContext)
-        sub._shape(tuple(dims), (src.name, element))
-        sub._layers = []
-        for k, rows in enumerate(self._layers):
+        proto = object.__new__(NContext)
+        proto._shape(tuple(dims))
+        cuts = []
+        for k in range(self._arity):
             if k != i0:
                 st = self._strides[k][i0 - (i0 > k)]
-                low, size = (1 << st) - 1, self._ranked[k][0] * self._cells[k][0]
-                cuts = [(a + x * st, a // n) for a in range(0, size, st * n)]
-                sub._layers.append([sum([(r >> a & low) << b for a, b in cuts]) for r in rows])
-        return sub
+                size = self._ranked[k][0] * self._cells[k][0]
+                cuts.append((k, st, (1 << st) - 1, [(a, a // n) for a in range(0, size, st * n)]))
+        made = self._sliced[i0] = (vars(proto), cuts)
+        return made
 
     def derive(self, side, labels: Iterable[str]) -> tuple[str, ...]:
         """2D derivation: elements of the other side related to all of X.

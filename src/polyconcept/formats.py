@@ -233,8 +233,7 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
     dims, names, seps = ctx.dims, ctx._names, ctx._seps
     if isinstance(items, ConceptSet) and items._ctx.dims == dims:
         # labelled here from the sorted keys; no ComponentTuple is built
-        label = [d.elements.__getitem__ for d in dims]
-        pairs = [([*map(tuple, map(map, label, key))], None) for key in items._keys]
+        pairs = [([*map(tuple, map(map, ctx._getters, key))], None) for key in items._keys]
     else:
         pairs = [(m.concept, m) if isinstance(m, IntroducerRecord) else (m, None) for m in items]
         pairs.sort(key=lambda pair: ctx.sort_key(pair[0]))
@@ -246,9 +245,7 @@ def serialize_concepts(ctx: NContext, items, fmt: str = "text") -> str:
         elif fmt == "structured":
             doc: dict = {"components": [list(c) for c in components]}
             if record:
-                doc["introduces"] = {
-                    str(d): list(labels) for d, labels in record.introduces
-                }
+                doc["introduces"] = {str(d): list(labels) for d, labels in record._checked(names)}
             line = json.dumps(doc, ensure_ascii=False, sort_keys=True)
         lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -14,9 +14,7 @@ and checked as component masks.  The definition is kept alive as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
-from operator import and_
 from typing import Iterable
 
 from .concepts import (DEFAULT_ORACLE_CAP, ConceptSet, ConsistencyError,
@@ -48,13 +46,19 @@ class IntroducerRecord:
         ``names`` and ``seps`` objects, so a context renders a record once."""
         c = self._cache
         if c is None or c[0] is not names or c[1] is not seps:
-            try:
-                notes = "; ".join([f"{names[d]}: {' '.join(xs)}" for d, xs in self.introduces])
-            except KeyError as err:
-                raise InputError(f"dimension {err.args[0]} is not in 1..{len(names)}") from None
+            notes = "; ".join([f"{names[d]}: {' '.join(xs)}" for d, xs in self._checked(names)])
             c = (names, seps, component_text(self.concept.components, seps), "introduces " + notes)
             object.__setattr__(self, "_cache", c)
         return c[2] + sep + c[3]
+
+    def _checked(self, names) -> tuple[tuple[int, tuple[str, ...]], ...]:
+        """``introduces``, once ``names`` is found to name each of its
+        dimensions; else ``InputError``.  Text and structured output read
+        the annotations through it."""
+        for d, _ in self.introduces:
+            if d not in names:
+                raise InputError(f"dimension {d} is not in 1..{len(names)}")
+        return self.introduces
 
     def __str__(self) -> str:
         return self._text({d: d for d, _ in self.introduces}, repeat(" "))
@@ -102,11 +106,10 @@ def _gather(ctx: NContext, dims=None) -> tuple[IntroducerRecord, ...]:
                 intro.setdefault(i0 + 1, []).append(x)
     # Dimensions arrive in ascending order, and elements too, each at most
     # once per concept: the slice concepts at x have pairwise different widths.
-    label = [d.elements.__getitem__ for d in ctx.dims]
     return tuple([
         IntroducerRecord(
             ctx._labelled(key),
-            tuple([(d, tuple(map(label[d - 1], xs))) for d, xs in intro.items()]),
+            tuple([(d, tuple(map(ctx._getters[d - 1], xs))) for d, xs in intro.items()]),
         )
         for key, intro in sorted([(tuple(map(_elements, m)), intro) for m, intro in bucket.items()])
     ])
@@ -164,20 +167,25 @@ def _oracle_records(ctx: NContext, base: ConceptSet) -> tuple[IntroducerRecord, 
     concept holding x has a width (the components j != i0) containing q's:
     iff the AND of ``sup[j]`` of q's components j != i0, without q, misses
     ``holds[i0][x]``.  Another concept has another width, as component i0 is
-    the extension of the width.
+    the extension of the width.  That AND is the one of the components
+    before i0, kept as i0 rises, and of those after it, accumulated first.
     """
     keys = base._keys  # sorted index tuples of ctx
-    everyone = (1 << len(keys)) - 1
     sup, holds = zip(*[_inclusion(comps, len(d)) for comps, d in zip(zip(*keys), ctx.dims)])
     records = []
     for q, key in enumerate(keys):
         sups = [s[c] for s, c in zip(sup, key)]
+        after = [-1]  # pops the AND of sups[i0 + 1:] for i0 = 0, 1, ...
+        for s in sups[:0:-1]:
+            after.append(after[-1] & s)
+        before = ~(1 << q)  # the AND of sups[:i0], without q
         intro = []
         for i0, comp in enumerate(key):
-            above = reduce(and_, sups[:i0] + sups[i0 + 1 :], everyone ^ (1 << q))
+            above = before & after.pop()
+            before &= sups[i0]
             xs = [x for x in comp if not above & holds[i0][x]]
             if xs:
-                intro.append((i0 + 1, tuple(map(ctx.dims[i0].elements.__getitem__, xs))))
+                intro.append((i0 + 1, tuple(map(ctx._getters[i0], xs))))
         if intro:
             records.append(IntroducerRecord(ctx._labelled(key), tuple(intro)))
     return tuple(records)

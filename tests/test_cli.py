@@ -300,6 +300,15 @@ def test_verify_one_failure_is_exit_1(monkeypatch, capsys):
     assert lines[-1] == "result: fail (1)"
 
 
+def test_introducer_oracle_ignores_record_order(monkeypatch, capsys):
+    # Records in another order are no longer equal tuples; counted, they
+    # match.  A repeated record is named (test_verify_uniqueness_failure_...).
+    introducers = cli.introducers
+    monkeypatch.setattr(cli, "introducers", lambda ctx: introducers(ctx)[::-1])
+    assert cli.main(["verify", FIG3_TSV]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "introducer oracle: ok (7 records)"
+
+
 def test_verify_uniqueness_failure_is_exit_1(monkeypatch, capsys):
     # A repeated record: the one path to a uniqueness failure, which the real
     # pipeline never takes.  The count identity sees its elements twice.

@@ -177,24 +177,33 @@ class TestSlice:
     )
     def test_slice_equals_rebuilt_context(self, shape):
         # Rows cut from the parent's rows must be laid out exactly as a
-        # context built from the filtered tuples lays them out.
-        for density, seed in [(0.3, 0), (0.3, 1), (0.7, 2), (0.0, 3), (1.0, 4)]:
-            ctx = generate_random(shape, density, seed)
-            tuples = ctx.tuples()
+        # context built from the filtered tuples lays them out, slices of
+        # slices too.  The slices of one dimension share their shape, down
+        # to one dims tuple, but not their rows or origin.
+        def check(ctx, tuples, depth):
             for i, d in enumerate(ctx.dims):
                 others = [(e.name, e.elements) for e in ctx.dims if e is not d]
-                for x in d.elements:
-                    sub = ctx.slice(d.index, x)
-                    ref = NContext(others, [t[:i] + t[i + 1 :] for t in tuples if t[i] == x])
-                    assert sub.dims == ref.dims
-                    assert [e.index for e in sub.dims] == list(range(1, len(shape)))
+                subs = [ctx.slice(d.index, x) for x in d.elements]
+                for x, sub in zip(d.elements, subs):
+                    kept = [t[:i] + t[i + 1 :] for t in tuples if t[i] == x]
+                    ref = NContext(others, kept)
+                    assert sub.dims == ref.dims and sub.dims is subs[0].dims
+                    assert [e.index for e in sub.dims] == list(range(1, ctx.arity))
                     assert sub._back == ref._back and sub._strides == ref._strides
                     assert sub._wide == ref._wide and sub._ranked == ref._ranked
                     assert len(sub._layers) == len(ref._layers)
                     for got, want in zip(sub._layers, ref._layers):
-                        assert got == want, (shape, density, seed, d.name, x)
+                        assert got == want, (shape, density, seed, depth, d.name, x)
+                    assert sub == ref and sub.tuples() == ref.tuples()
                     assert sub.provenance == (d.name, x)
-                    assert sub.tuples() == ref.tuples()
+                    assert repr(sub).endswith(f", sliced at {d.name}={x}>")
+                    if depth and sub.arity > 1:
+                        check(sub, kept, depth - 1)
+                assert len({repr(sub) for sub in subs}) == len(subs)
+
+        for density, seed in [(0.3, 0), (0.3, 1), (0.7, 2), (0.0, 3), (1.0, 4)]:
+            ctx = generate_random(shape, density, seed)
+            check(ctx, ctx.tuples(), 1)
             assert [e.index for e in ctx.dims] == list(range(1, len(shape) + 1))
 
 

@@ -506,6 +506,7 @@ class TestRecordText:
     RENDERERS = {
         "format_record": format_record,
         "serialize_concepts": lambda ctx, r: serialize_concepts(ctx, [r]),
+        "serialize_concepts_structured": lambda ctx, r: serialize_concepts(ctx, [r], "structured"),
         "export_dot": lambda ctx, r: export_dot(
             ctx, DimensionDiagram(1, (DiagramNode(r.concept.components[0], (r,)),), ())
         ),

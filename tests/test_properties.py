@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyconcept import (
+    DEFAULT_ORACLE_CAP,
     ComponentTuple,
     ConceptSet,
     Dimension,
@@ -26,6 +27,7 @@ from polyconcept import (
     generate_random,
     introducer_oracle,
     introducers,
+    oracle_cost,
     parse_context,
     serialize_tuples,
 )
@@ -138,10 +140,9 @@ def test_sort_key_accepts_only_the_canonical_form(ctx, data):
             ctx.is_concept(t)
 
 
-@PROPERTY
-@given(contexts(), st.data())
-def test_permuting_dimensions_permutes_results(ctx, data):
-    perm = data.draw(st.permutations(range(ctx.arity)))
+def _check_permuted(ctx, perm):
+    """Reorder the dimensions of ctx as ``perm`` lists them: the concepts
+    and introducer records are the old ones, reordered.  Returns their counts."""
     moved = NContext(
         [(ctx.dims[k].name, ctx.dims[k].elements) for k in perm],
         [tuple(t[k] for k in perm) for t in ctx.tuples()],
@@ -150,18 +151,35 @@ def test_permuting_dimensions_permutes_results(ctx, data):
     def permuted(t):
         return ComponentTuple(tuple(t.components[k] for k in perm))
 
-    assert set(enumerate_concepts(moved)) == {
-        permuted(t) for t in enumerate_concepts(ctx)
+    found = enumerate_concepts(moved)
+    assert set(found) == {permuted(t) for t in enumerate_concepts(ctx)}
+    if ctx.arity == 1:
+        return len(found), 0
+    dim_at = {k + 1: j + 1 for j, k in enumerate(perm)}
+    records = introducers(moved)
+    assert set(records) == {
+        IntroducerRecord(
+            permuted(r.concept),
+            tuple(sorted((dim_at[d], labels) for d, labels in r.introduces)),
+        )
+        for r in introducers(ctx)
     }
-    if ctx.arity > 1:
-        dim_at = {k + 1: j + 1 for j, k in enumerate(perm)}
-        assert set(introducers(moved)) == {
-            IntroducerRecord(
-                permuted(r.concept),
-                tuple(sorted((dim_at[d], labels) for d, labels in r.introduces)),
-            )
-            for r in introducers(ctx)
-        }
+    return len(found), len(records)
+
+
+@PROPERTY
+@given(contexts(), st.data())
+def test_permuting_dimensions_permutes_results(ctx, data):
+    _check_permuted(ctx, data.draw(st.permutations(range(ctx.arity))))
+
+
+def test_permuting_dimensions_permutes_results_past_the_oracle_cap():
+    # Unequal sizes, so every order ranks the dimensions differently for the
+    # search; the oracle would walk 2^24 combinations.
+    ctx = generate_random((10, 14, 18), 0.3, 1)
+    assert oracle_cost(ctx) == 1 << 24 > DEFAULT_ORACLE_CAP
+    for perm in itertools.permutations(range(3)):
+        assert _check_permuted(ctx, perm) == (1302, 1291), perm
 
 
 @PROPERTY

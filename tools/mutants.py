@@ -21,10 +21,13 @@ The tree (default: the checkout holding this script) is copied into a
 temporary directory, and only the copy is mutated, one mutant at a time.
 Each mutant first runs the test files that cover its module, stopping at
 the first failure; a mutant they miss runs the whole suite.  A mutant is
-killed when the tests fail or time out.  The unmutated copy must pass the
-covering files first.  Survivors listed in ``EQUIVALENT`` below compute the
-same results as the original; any other survivor is a gap in the tests, and
-the exit status is then 1.
+killed when the tests fail, or when they run past their time limit; the
+latter is printed as ``killed (timeout)``.  The unmutated copy must pass the
+covering files and the whole suite first, and those runs set the limits:
+``TIMEOUT_FACTOR`` times as long, but at least ``TIMEOUT_FLOOR`` seconds.
+Survivors listed in ``EQUIVALENT`` below compute the same results as the
+original; any other survivor is a gap in the tests, and the exit status is
+then 1.
 
 Only the standard library is used; the tests need ``pytest`` and
 ``hypothesis``.  All mutants of one module take roughly ten seconds each on
@@ -43,11 +46,16 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 PACKAGE = "polyconcept"
-TIMEOUT = 300  # seconds per test run; a mutant that loops is killed by it
+# A mutant's test run may take this many times as long as the unmutated
+# tree's run of the same files, and at least this many seconds; past that,
+# it is taken to loop and is killed.
+TIMEOUT_FACTOR = 4
+TIMEOUT_FLOOR = 20.0
 
 # The test files that exercise each module, run before the whole suite.
 COVERING = {
@@ -63,13 +71,18 @@ COVERING = {
 # (module, function, original line, mutated line): mutants that survive
 # because they compute the same results.
 LOWEST_BIT = "x | -x is -(x & -x), and only its bit_length, which ignores the sign, is read"
+LEVEL_0 = "level 0's spread is unused: closed_tuples drops its box"
 EQUIVALENT = {
     ("context", "_layout", "wide = tuple([k for k in reversed(order) if sizes[k] > 1])",
      "wide = tuple([k for k in reversed(order) if (sizes[k] >= 1)])"):
         "a one-element dimension only adds shifts by 0",
-    ("context", "NContext.slice", "st = self._strides[k][i0 - (i0 > k)]",
+    ("context", "NContext._slice_shape", "st = self._strides[k][i0 - (i0 > k)]",
      "st = self._strides[k][i0 - ((i0 >= k))]"):
         "k != i0 on this line",
+    ("context", "NContext.slice",
+     "if len(runs) == 1:  # the sliced dimension is the slowest: one run, (0, 0)",
+     "if len(runs) == (0):  # the sliced dimension is the slowest: one run, (0, 0)"):
+        "the one-run branch only shortcuts the general cut",
     ("context", "NContext._extend_mask", "if self._arity == 2 and masks[0].bit_count() < len(rows):",
      "if self._arity == 2 and (masks[0].bit_count() <= len(rows)):"):
         "the threshold only picks which of two equal answers is computed",
@@ -77,9 +90,12 @@ EQUIVALENT = {
      "ext &= cols[((w | -w)).bit_length() - 1]"): LOWEST_BIT,
     ("context", "NContext._extend_mask", "acc |= w << ((m & -m).bit_length() - 1) * strides[k]",
      "acc |= w << (((m | -m)).bit_length() - 1) * strides[k]"): LOWEST_BIT,
-    ("concepts", "_cbo", "spread = [1 << b * stride if lv else 0 for b in range(n)]",
-     "spread = [1 << b * stride if lv else (1) for b in range(n)]"):
-        "level 0's spread is unused: closed_tuples drops its box",
+    ("concepts", "_spreads", "return ((0,) * sizes[0],) + tuple([",
+     "return (((1),) * sizes[0],) + tuple(["): LEVEL_0,
+    ("concepts", "_spreads", "return ((0,) * sizes[0],) + tuple([",
+     "return ((0,) * sizes[(1)],) + tuple(["): LEVEL_0 + ", and sizes ascend",
+    ("concepts", "_cbo", "stack.append((e, d, j + 1, t))", "stack.append((e, d, j + (0), t))"):
+        "row j is in e, so the child skips it",
     ("order", "_up_down", "if pairs <= len(above) * size - sum(map(len, above)):",
      "if (pairs < len(above) * size - sum(map(len, above))):"):
         "the threshold only picks which of two equal answers is computed",
@@ -232,19 +248,29 @@ def mutants(src_dir: Path, selectors: list[str]) -> list[Mutant]:
     return out
 
 
-def _run_tests(root: Path, files: list[str]) -> bool:
-    """True when pytest passes on ``files`` (all of ``tests/`` if empty)."""
+def _run_tests(root: Path, files: list[str], limit: float | None = None) -> str:
+    """How pytest ends on ``files`` (all of ``tests/`` if empty): ``passed``,
+    ``failed``, or ``timeout`` once it has run ``limit`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *[f"tests/{f}" for f in files]]
     proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        return proc.wait(timeout=TIMEOUT) == 0
+        return "passed" if proc.wait(timeout=limit) == 0 else "failed"
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        return False
+        return "timeout"
+
+
+def _limit(root: Path, files: list[str], what: str) -> float:
+    """The time limit of a mutant's run of ``files``, from the unmutated
+    tree's run of them, which must pass."""
+    start = time.monotonic()
+    if _run_tests(root, files) != "passed":
+        raise SystemExit(f"the unmutated tree fails {what}")
+    return max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * (time.monotonic() - start))
 
 
 def main(argv=None) -> int:
@@ -273,20 +299,26 @@ def main(argv=None) -> int:
             shutil.copytree(args.tree / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(args.tree / "pyproject.toml", root)
-        for module in sorted({m.module for m in found}):
-            if not _run_tests(root, COVERING[module]):
-                raise SystemExit(f"the unmutated tree fails the tests covering {module}")
-        counts = {"killed": 0, "equivalent": 0, "SURVIVED": 0}
+        limits = {module: _limit(root, COVERING[module], f"the tests covering {module}")
+                  for module in sorted({m.module for m in found})}
+        if found:
+            limits[""] = _limit(root, [], "the whole suite")
+        print("time limits: " + ", ".join(f"{k or 'whole suite'} {v:.0f} s"
+                                          for k, v in limits.items()), file=sys.stderr)
+        counts = {"killed": 0, "killed (timeout)": 0, "equivalent": 0, "SURVIVED": 0}
         for m in found:
             path = root / "src" / PACKAGE / f"{m.module}.py"
             original = path.read_text(encoding="utf-8")
             path.write_text(m.source, encoding="utf-8")
             try:
-                killed = not _run_tests(root, COVERING[m.module]) or not _run_tests(root, [])
+                outcome = _run_tests(root, COVERING[m.module], limits[m.module])
+                if outcome == "passed":
+                    outcome = _run_tests(root, [], limits[""])
             finally:
                 path.write_text(original, encoding="utf-8")
             reason = EQUIVALENT.get((m.module, m.function, m.before, m.after))
-            status = "killed" if killed else ("equivalent" if reason else "SURVIVED")
+            status = {"failed": "killed", "timeout": "killed (timeout)"}.get(outcome)
+            status = status or ("equivalent" if reason else "SURVIVED")
             counts[status] += 1
             note = f"\t({reason})" if status == "equivalent" else ""
             print(f"{status}\t{m.name()}\t{m.before}\t->\t{m.after}{note}", flush=True)
