@@ -16,7 +16,6 @@ input the oracle can afford, and the test suite holds them to that.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -95,20 +94,13 @@ class ConceptSet:
         return f"<ConceptSet of {len(self)}>"
 
 
-@lru_cache(maxsize=1024)
-def _spreads(sizes: tuple[int, ...], cells: tuple[int, ...]) -> tuple:
-    """Per level of ``_cbo``, bit ``b * cells[lv]`` of each row b; at level 0,
-    whose boxes ``closed_tuples`` drops, 0 for each row."""
-    return ((0,) * sizes[0],) + tuple([
-        tuple([1 << b * cells[lv] for b in range(sizes[lv])]) for lv in range(1, len(sizes))
-    ])
-
-
-def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, spreads, lv: int = 0):
+def _cbo(sizes: Sequence[int], cells: Sequence[int], spreads: Sequence[Sequence[int]],
+         rel: int, lv: int = 0):
     """(component masks, box mask) of every concept of ``rel``, each once.
 
     ``rel`` is a relation over the dimensions of ``sizes`` from level ``lv``
-    on; ``cells[k]`` is the product of the sizes after k.  Close-by-One walks
+    on; ``cells[k]`` is the product of the sizes after k, and ``spreads[k]``
+    holds bit ``b * cells[k]`` for each row b of level k.  Close-by-One walks
     the closed pairs (A, C) of the first dimension against the cells of the
     others on an explicit stack.  A child adds a row j above the last one
     added and, with D the cells of C in row j, is canonical iff no row b < j
@@ -118,21 +110,21 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, spreads, lv: int 
     of C as an (n-1)-ary relation gives the concept (A, T) iff no row
     outside A covers T's box, so the levels nest down to two dimensions and
     never reach one.  Box masks are built below level 0 only, as cells times
-    the spread of A, the sum of ``spreads[lv]`` over the rows of A, carried
-    on the stack.
+    the spread of A, the sum of its rows' bits, carried on the stack; level
+    0, whose boxes ``closed_tuples`` drops, spreads each row to 0.
     """
     n, stride, last = sizes[lv], cells[lv], lv + 2 == len(sizes)
-    full, spread = (1 << stride) - 1, spreads[lv]
+    full, spread = (1 << stride) - 1, spreads[lv] if lv else (0,) * n
     rows = [rel >> b * stride & full for b in range(n)]
     a = sum([1 << b for b in range(n) if rows[b] == full])
-    stack = [(a, full, 0, lv and sum(map(spread.__getitem__, _elements(a))))]
+    stack = [(a, full, 0, sum(map(spread.__getitem__, _elements(a))))]
     while stack:
         a, c, y, s = stack.pop()
         if last:
             yield (a, c), c * s
         else:
             out = _elements(a ^ (1 << n) - 1)  # the rows outside A
-            for comps, box in _cbo(sizes, cells, c, spreads, lv + 1):
+            for comps, box in _cbo(sizes, cells, spreads, c, lv + 1):
                 # The rows of A cover c, so a box that is all of c is kept.
                 for b in out if box != c else ():
                     if rows[b] & box == box:
@@ -156,23 +148,26 @@ def _cbo(sizes: Sequence[int], cells: Sequence[int], rel: int, spreads, lv: int 
 
 
 def closed_tuples(
-    sizes: Sequence[int], cells: Sequence[int], rel: int, back: Sequence[int]
+    sizes: Sequence[int], cells: Sequence[int], spreads: Sequence[Sequence[int]], rel: int,
+    back: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
     """Every concept of an n-ary relation, exactly once, as component masks
     in original order.
 
     ``rel`` masks the cells of a product of dimensions of the given sizes,
     cell ``(p_1, ..., p_n)`` at bit ``sum(p_k * cells[k])`` with the last
-    dimension fastest; ``back[j]`` is the rank of the dimension at original
-    position j.  The arguments are what ``NContext._search_input`` returns,
-    whose sizes ascend, so every level of the nested search has the smallest
-    dimension left as its outer one, which bounds the cost of a closure.  A
-    1-ary relation is its own single concept, yielded without a search.
+    dimension fastest; ``spreads[k]`` holds bit ``b * cells[k]`` for each
+    row b of dimension k; ``back[j]`` is the rank of the dimension at
+    original position j.  The arguments are what ``NContext._search_input``
+    returns, whose sizes ascend, so every level of the nested search has the
+    smallest dimension left as its outer one, which bounds the cost of a
+    closure.  A 1-ary relation is its own single concept, yielded without a
+    search.
     """
     if len(sizes) == 1:
         yield (rel,)
         return
-    for masks, _ in _cbo(sizes, cells, rel, _spreads(tuple(sizes), tuple(cells))):
+    for masks, _ in _cbo(sizes, cells, spreads, rel):
         yield tuple(map(masks.__getitem__, back))
 
 

@@ -61,20 +61,23 @@ def check_dimension_name(name: str) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """(order, strides, wide, ranked, cells, back) of a cell layout, cached per
-    shape: ``order`` lists the dimensions smallest first (stable), the slowest
-    first; ``strides[k]`` is the mixed-radix stride of dimension k; ``wide``
-    lists the dimensions of more than one element, fastest first; ``ranked``
-    and ``cells`` list the sizes and strides in ``order``; ``back`` inverts it."""
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(order, strides, wide, ranked, cells, spreads, back) of a cell layout,
+    cached per shape: ``order`` lists the dimensions smallest first (stable),
+    the slowest first; ``strides[k]`` is the mixed-radix stride of dimension
+    k; ``wide`` lists the dimensions of more than one element, fastest first;
+    ``ranked`` and ``cells`` list the sizes and strides in ``order``;
+    ``spreads[j]`` holds bit ``b * cells[j]`` for each row b of the rank-j
+    dimension; ``back`` inverts ``order``."""
     order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
     strides, step = [0] * len(sizes), 1
     for k in reversed(order):
         strides[k], step = step, step * sizes[k]
     wide = tuple([k for k in reversed(order) if sizes[k] > 1])
     ranked, cells = (tuple(map(seq.__getitem__, order)) for seq in (sizes, strides))
+    spreads = tuple([tuple([1 << b * c for b in range(n)]) for n, c in zip(ranked, cells)])
     back = tuple(sorted(range(len(order)), key=order.__getitem__))
-    return order, tuple(strides), wide, ranked, cells, back
+    return order, tuple(strides), wide, ranked, cells, spreads, back
 
 
 _DECODED = [()]  # _DECODED[m]: the set bits of m, for every m < _SMALL
@@ -290,8 +293,8 @@ class NContext:
 
     def _shape(self, dims: tuple[Dimension, ...]) -> None:
         """Set checked dimensions, their text forms and label getters, the
-        ``_layout`` of the relation and of each dimension's rows, and an
-        empty cache of slice shapes."""
+        ``_layout`` of each dimension's rows, and an empty cache of slice
+        shapes."""
         self._dims = dims
         self._names = {d.index: d.name for d in dims}
         self._seps = tuple([d._sep for d in dims])
@@ -300,8 +303,7 @@ class NContext:
         self._arity = len(dims)
         self._sliced = {}
         sizes = tuple([len(d) for d in dims])
-        self._whole = _layout(sizes)
-        _, self._strides, self._wide, self._ranked, self._cells, self._back = zip(
+        _, self._strides, self._wide, self._ranked, self._cells, self._spreads, self._back = zip(
             *[_layout(sizes[:i] + sizes[i + 1 :]) for i in range(self._arity)]
         )
 
@@ -471,21 +473,24 @@ class NContext:
         return tuple(map(self._dims[i0].elements.__getitem__, _elements(ext)))
 
     def _search_input(self, i0: int | None = None, x: int = 0):
-        """(sizes, cells, mask, back), the input of ``concepts.closed_tuples``.
+        """(sizes, cells, spreads, mask, back), the input of
+        ``concepts.closed_tuples``.
 
         The slice at element x of dimension i0 is that element's row; with no
         i0, the rows of the slowest, smallest dimension, packed, are the
         relation.  The rest is the mask's cached ``_layout``: its ranked sizes
-        and strides, smallest first (stable), and the rank of each original
-        position.  Raises ``ArityError`` above ``MAX_ARITY``.
+        and strides, smallest first (stable), the row bits of each rank, and
+        the rank of each original position.  Raises ``ArityError`` above
+        ``MAX_ARITY``.
         """
         if self._arity > MAX_ARITY:
             raise ArityError(f"concept search takes at most {MAX_ARITY} dimensions, got {self._arity}")
         if i0 is not None:
-            return self._ranked[i0], self._cells[i0], self._layers[i0][x], self._back[i0]
-        order, _, _, sizes, cells, back = self._whole
+            return (self._ranked[i0], self._cells[i0], self._spreads[i0],
+                    self._layers[i0][x], self._back[i0])
+        order, _, _, sizes, cells, spreads, back = _layout(tuple([len(d) for d in self._dims]))
         mask = sum(row << y * cells[0] for y, row in enumerate(self._layers[order[0]]))
-        return sizes, cells, mask, back
+        return sizes, cells, spreads, mask, back
 
     # -- box predicates ------------------------------------------------------
 
@@ -548,10 +553,7 @@ class NContext:
         sub._layers = layers = []
         for k, st, low, runs in cuts:
             rows, off = self._layers[k], x * st
-            if len(runs) == 1:  # the sliced dimension is the slowest: one run, (0, 0)
-                layers.append([r >> off & low for r in rows])
-            else:
-                layers.append([sum([(r >> a + off & low) << b for a, b in runs]) for r in rows])
+            layers.append([sum([(r >> a + off & low) << b for a, b in runs]) for r in rows])
         return sub
 
     def _slice_shape(self, i0: int) -> tuple[dict, list]:

@@ -76,13 +76,17 @@ EQUIVALENT = {
     ("context", "_layout", "wide = tuple([k for k in reversed(order) if sizes[k] > 1])",
      "wide = tuple([k for k in reversed(order) if (sizes[k] >= 1)])"):
         "a one-element dimension only adds shifts by 0",
+    ("context", "_layout", "wide = tuple([k for k in reversed(order) if sizes[k] > 1])",
+     "wide = tuple([k for k in reversed(order) if sizes[k] > (0)])"):
+        "an empty dimension holds no tuple and empties every width, read by _extend_mask first",
+    ("context", "_layout", "strides, step = [0] * len(sizes), 1",
+     "strides, step = [(1)] * len(sizes), 1"): "the loop sets every stride",
+    ("context", "NContext._search_input", "def _search_input(self, i0: int | None = None, x: int = 0):",
+     "def _search_input(self, i0: int | None = None, x: int = (1)):"):
+        "x is read only with i0, and every caller passes both",
     ("context", "NContext._slice_shape", "st = self._strides[k][i0 - (i0 > k)]",
      "st = self._strides[k][i0 - ((i0 >= k))]"):
         "k != i0 on this line",
-    ("context", "NContext.slice",
-     "if len(runs) == 1:  # the sliced dimension is the slowest: one run, (0, 0)",
-     "if len(runs) == (0):  # the sliced dimension is the slowest: one run, (0, 0)"):
-        "the one-run branch only shortcuts the general cut",
     ("context", "NContext._extend_mask", "if self._arity == 2 and masks[0].bit_count() < len(rows):",
      "if self._arity == 2 and (masks[0].bit_count() <= len(rows)):"):
         "the threshold only picks which of two equal answers is computed",
@@ -90,10 +94,8 @@ EQUIVALENT = {
      "ext &= cols[((w | -w)).bit_length() - 1]"): LOWEST_BIT,
     ("context", "NContext._extend_mask", "acc |= w << ((m & -m).bit_length() - 1) * strides[k]",
      "acc |= w << (((m | -m)).bit_length() - 1) * strides[k]"): LOWEST_BIT,
-    ("concepts", "_spreads", "return ((0,) * sizes[0],) + tuple([",
-     "return (((1),) * sizes[0],) + tuple(["): LEVEL_0,
-    ("concepts", "_spreads", "return ((0,) * sizes[0],) + tuple([",
-     "return ((0,) * sizes[(1)],) + tuple(["): LEVEL_0 + ", and sizes ascend",
+    ("concepts", "_cbo", "full, spread = (1 << stride) - 1, spreads[lv] if lv else (0,) * n",
+     "full, spread = (1 << stride) - 1, spreads[lv] if lv else ((1),) * n"): LEVEL_0,
     ("concepts", "_cbo", "stack.append((e, d, j + 1, t))", "stack.append((e, d, j + (0), t))"):
         "row j is in e, so the child skips it",
     ("order", "_up_down", "if pairs <= len(above) * size - sum(map(len, above)):",
