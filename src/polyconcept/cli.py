@@ -80,7 +80,8 @@ def _write_diagram(ctx, diagram, fmt: str, name: str, noun: str) -> None:
     else:
         lines = [f"dimension: {diagram.dimension} {ctx.dims[diagram.dimension - 1].name}"]
         for k, node in enumerate(diagram.nodes):
-            comp = component_text([node.component], " ")[1:-1]  # without the parentheses
+            sep = ctx._seps[diagram.dimension - 1]
+            comp = component_text([node.component], [sep])[1:-1]  # without the parentheses
             members = "; ".join(format_record(ctx, m) for m in node.members)
             lines.append(f"class {k} [{comp}]: {members}")
         for lo, hi in diagram.edges:

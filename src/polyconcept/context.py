@@ -148,16 +148,24 @@ class Dimension:
         check_dimension_name(self.name)
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
-        pos = {}
-        for k, label in enumerate(elements):
-            check_label(label)
-            if label in pos:
-                raise InputError(
-                    f"dimension {self.name!r} declares element {label!r} twice"
-                )
-            pos[label] = k
+        try:  # check_label's rules on all labels at once, joined by line breaks
+            text = "\n" + "\n".join(elements)
+            plain = text.split() == list(elements) and not any(
+                map(text.__contains__, (",", "\n#", "\n!", "\n\ufeff")))
+        except TypeError:  # a label that is not a string
+            plain = False
+        pos = dict(zip(elements, range(len(elements)))) if plain else {}
+        if len(pos) != len(elements):  # name the first fault, label by label
+            seen = set()
+            for label in elements:
+                check_label(label)
+                if label in seen:
+                    raise InputError(
+                        f"dimension {self.name!r} declares element {label!r} twice"
+                    )
+                seen.add(label)
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_sep", "" if all(len(e) == 1 for e in elements) else " ")
+        object.__setattr__(self, "_sep", "" if max(map(len, elements), default=1) == 1 else " ")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -256,34 +264,30 @@ class NContext:
             else:
                 name, elements = d
                 norm.append(Dimension(k + 1, name, tuple(elements)))
-        # _build sets what _index reads before it consumes the map.
-        self._build(tuple(norm), map(self._index, relation))
+        self._shape(tuple(norm))  # sets what _index reads
+        self._build(list(zip(*map(self._index, relation))))
 
     @classmethod
-    def _of_indices(cls, dims, rel: Iterable[tuple[int, ...]]) -> "NContext":
-        """The unsliced context of in-range index tuples over Dimensions 1..n."""
+    def _of_indices(cls, dims, cols: Sequence[Sequence[int]]) -> "NContext":
+        """The unsliced context over Dimensions 1..n whose tuples are given as
+        columns of in-range positions, ``cols[k]`` for dimension k."""
         ctx = object.__new__(cls)
-        ctx._build(tuple(dims), rel)
+        ctx._shape(tuple(dims))
+        ctx._build(cols)
         return ctx
 
-    def _build(self, dims, rel: Iterable[tuple[int, ...]]) -> None:
-        """Check the dimensions, set them and lay index tuples out as bit rows.
+    def _build(self, cols: Sequence[Sequence[int]]) -> None:
+        """Lay the tuples out as bit rows: ``cols[k][t]`` is the position of
+        tuple t in dimension k, and no columns at all is the empty relation.
 
         The rows of dimension i flatten the product of the other dimensions
         as ``_layout`` orders them (``_strides[i]``).  Each
         tuple sets one bit of one row per dimension: in the rows of dimension
-        i, bit ``sum(p_j * stride_ij)`` over its fields j != i.  The tuples
-        are transposed once into columns, and each dimension's offsets are
-        summed column by column, skipping one-element dimensions (p_j = 0).
+        i, bit ``sum(p_j * stride_ij)`` over its fields j != i.  Each
+        dimension's offsets are summed column by column, skipping one-element
+        dimensions (p_j = 0).
         """
-        if not dims:
-            raise ArityError("a context needs at least one dimension")
-        names = [d.name for d in dims]
-        if len(set(names)) != len(names):
-            raise InputError(f"dimension names must be unique, got {names}")
-        self._shape(dims)
-        self._layers: list[list[int]] = [[0] * len(d) for d in dims]
-        cols = list(zip(*rel))
+        self._layers: list[list[int]] = [[0] * len(d) for d in self._dims]
         for i, layer in enumerate(self._layers if cols else ()):
             strides, offsets = self._strides[i], repeat(0)
             for k in self._wide[i]:  # k counts the dimensions other than i
@@ -292,9 +296,14 @@ class NContext:
                 layer[p] |= 1 << o
 
     def _shape(self, dims: tuple[Dimension, ...]) -> None:
-        """Set checked dimensions, their text forms and label getters, the
-        ``_layout`` of each dimension's rows, and an empty cache of slice
-        shapes."""
+        """Check the dimensions (at least one, unique names), then set them,
+        their text forms and label getters, the ``_layout`` of each
+        dimension's rows, and an empty cache of slice shapes."""
+        if not dims:
+            raise ArityError("a context needs at least one dimension")
+        names = [d.name for d in dims]
+        if len(set(names)) != len(names):
+            raise InputError(f"dimension names must be unique, got {names}")
         self._dims = dims
         self._names = {d.index: d.name for d in dims}
         self._seps = tuple([d._sep for d in dims])

@@ -1,9 +1,11 @@
 """Text formats and the reproducible random context generator.
 
 Lines end at '\\n', '\\r\\n' or '\\r' only; other characters that some
-readers treat as line breaks stay inside their line.  Both parsers read a
-file in one pass, so a file with several faults is reported at its earliest
-faulty line.
+readers treat as line breaks stay inside their line.  A tuple file's body
+is read by columns: its fields are split all at once and sliced into one
+label column per dimension, and each check runs on whole columns.  Faults
+are then located from the same columns, and a file with several faults,
+in either format, is reported at its earliest faulty line.
 
 Tuple files
     Optional comment lines start with '#'.  Optional header lines, one per
@@ -46,10 +48,10 @@ Cells are visited in row-major order, last dimension fastest.
 
 from __future__ import annotations
 
-import itertools
 import json
-from operator import getitem
-from typing import Iterator, Sequence
+from itertools import compress, count, filterfalse, product, repeat
+from operator import ne
+from typing import Sequence
 
 from .concepts import ConceptSet
 from .context import Dimension, InputError, NContext, check_label, component_text
@@ -68,23 +70,25 @@ class ParseError(ValueError):
 # -- parsing -----------------------------------------------------------------
 
 
-def _numbered_lines(text: str) -> Iterator[tuple[int, str, str]]:
-    """Content lines as (1-based number, raw line, stripped line), after one
-    leading byte-order mark; lines end at '\\n', '\\r\\n' or '\\r' only, and
-    blank lines and '#' comment lines are skipped."""
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and line[0] != "#":
-            yield line_no, raw, line
+def _content(text: str) -> tuple[list[int], list[str], list[str]]:
+    """The content lines of a text as three columns: 1-based line numbers,
+    raw lines and stripped lines.  One leading byte-order mark is dropped;
+    lines end at '\\n', '\\r\\n' or '\\r' only; blank lines and '#'
+    comment lines are skipped."""
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    stripped = list(map(str.strip, lines))
+    keep = [s and s[0] != "#" for s in stripped] if "#" in text else stripped
+    return (list(compress(count(1), keep)), list(compress(lines, keep)),
+            list(compress(stripped, keep)))
 
 
-def _checked(label: str, line_no: int) -> str:
-    """``check_label``, reporting a bad label at the line it appears on."""
+def _complaint(label: str) -> str:
+    """What ``check_label`` says against a label; "" for a good one."""
     try:
-        return check_label(label)
+        check_label(label)
     except InputError as exc:
-        raise ParseError(str(exc), line_no) from None
+        return str(exc)
+    return ""
 
 
 def _separator(raw: str) -> str | None:
@@ -97,65 +101,110 @@ def _fields(raw: str, sep: str) -> list[str]:
 
 
 def parse_tuples(text: str) -> NContext:
-    """Parse a tuple file into a context, one line at a time."""
-    dims: list[Dimension] = []  # from the header lines
-    lookup: list[dict[str, int]] = []  # label -> position, per dimension
-    relation: list[tuple[int, ...]] = []
-    sep = arity = None  # fixed by the first body line
-    for line_no, raw, line in _numbered_lines(text):
-        if line[0] == "!":
-            if arity is not None:
-                raise ParseError("header line after body lines", line_no)
-            head, colon, tail = line[1:].partition(":")
-            if not colon:
-                raise ParseError("header must look like '! name: e1 e2 ...'", line_no)
-            try:
-                dims.append(Dimension(len(dims) + 1, head.strip(), tuple(tail.split())))
-            except InputError as exc:
-                raise ParseError(str(exc), line_no) from None
-            continue
-        if arity is None:
-            sep = _separator(raw)
-        fields = _fields(raw, sep) if sep else [line]
-        if not all(fields):
-            raise ParseError("empty field", line_no)
-        if arity is None:
-            arity = len(dims) if dims else len(fields)
-            lookup = [d._pos for d in dims] if dims else [{} for _ in fields]
-        if len(fields) != arity:
-            raise ParseError(f"expected {arity} fields, got {len(fields)}", line_no)
-        try:
-            relation.append(tuple(map(getitem, lookup, fields)))
-        except KeyError:
-            if dims:
-                d, lb = next((d, lb) for d, lb in zip(dims, fields) if lb not in d)
-                raise ParseError(
-                    f"element {lb!r} is not declared in dimension {d.name!r}", line_no
-                ) from None
-            for seen, lb in zip(lookup, fields):  # first appearances
-                if lb not in seen:
-                    seen[_checked(lb, line_no)] = len(seen)
-            relation.append(tuple(map(getitem, lookup, fields)))
+    """Parse a tuple file into a context, one label column per dimension."""
+    return _tuples(*_content(text))
 
-    if not dims:
-        if arity is None:
-            raise ParseError("empty input: no header and no tuples", 1)
-        dims = [
-            Dimension(k + 1, f"dim{k + 1}", tuple(seen))
-            for k, seen in enumerate(lookup)
-        ]
+
+def _tuples(nos: list[int], raws: list[str], lines: list[str]) -> NContext:
+    """A tuple file's context from its content lines, as ``_content`` gives
+    them: the header lines lead, then ``_body`` reads the rest."""
+    dims: list[Dimension] = []  # from the header lines
+    for line_no, line in zip(nos, lines):
+        if line[0] != "!":
+            break
+        head, colon, tail = line[1:].partition(":")
+        if not colon:
+            raise ParseError("header must look like '! name: e1 e2 ...'", line_no)
+        try:
+            dims.append(Dimension(len(dims) + 1, head.strip(), tuple(tail.split())))
+        except InputError as exc:
+            raise ParseError(str(exc), line_no) from None
+    if len(raws) > len(dims):
+        body = slice(len(dims), None)
+        dims, cols = _body(dims, nos[body], raws[body], lines[body])
+    elif dims:
+        cols = ()
+    else:
+        raise ParseError("empty input: no header and no tuples", 1)
     try:
-        return NContext._of_indices(dims, relation)
+        return NContext._of_indices(dims, cols)
     except InputError as exc:
         raise ParseError(str(exc)) from None
 
 
+def _body(dims, nos, raws, lines) -> tuple[list[Dimension], list[list[int]]]:
+    """The dimensions and the index columns of the body lines.
+
+    The first line fixes the separator and, without a header, the arity.
+    All fields are split and stripped at once and sliced into one label
+    column per dimension; each test then covers the whole body: the field
+    counts, empty fields, and each column's labels, which without a header
+    are numbered by first appearance.  ``_fault`` finds the line of a fault.
+    """
+    sep = _separator(raws[0])
+    arity = len(dims) or (raws[0].count(sep) + 1 if sep else 1)
+    fields = list(map(str.strip, sep.join(raws).split(sep))) if sep else lines
+    ragged = set(map(str.count, raws, repeat(sep))) != {arity - 1} if sep else arity > 1
+    if not ragged and "" not in fields:
+        cols = [fields[k::arity] for k in range(arity)]
+        try:
+            if not dims:
+                dims = [Dimension(k + 1, f"dim{k + 1}", tuple(dict.fromkeys(col)))
+                        for k, col in enumerate(cols)]
+            return dims, [list(map(d._pos.__getitem__, col)) for d, col in zip(dims, cols)]
+        except (InputError, KeyError):
+            pass
+    raise _fault(dims, nos, raws, lines, sep, arity, fields)
+
+
+def _fault(dims, nos, raws, lines, sep, arity, fields) -> ParseError:
+    """The error of the earliest faulty body line, found from ``_body``'s
+    columns.  On one line a late header ranks first, then an empty field,
+    then the field count, then its labels in dimension order: undeclared
+    under a header, else bad.  Every line before the first late header or
+    miscounted line, ``r``, has ``arity`` fields, so ``fields`` starts with
+    their columns."""
+    late = next(compress(count(), map(str.startswith, lines, repeat("!"))), len(raws))
+    counts = map(str.count, raws, repeat(sep)) if sep else repeat(0, len(raws))
+    r = min(late, next(compress(count(), map(ne, counts, repeat(arity - 1))), len(raws)))
+    cols = [fields[k : r * arity : arity] for k in range(arity)]
+    empty = min([col.index("") for col in cols if "" in col], default=r)
+    faults = []  # (row, dimension, why) of bad labels on rows before any other fault
+    for k, col in enumerate(cols):
+        col = col[:empty]
+        if dims:
+            bad = next(filterfalse(dims[k].__contains__, col), None)
+        else:  # the first bad label in order of first appearance
+            bad = next(filter(_complaint, dict.fromkeys(col)), None)
+        if bad is not None:
+            why = (f"element {bad!r} is not declared in dimension {dims[k].name!r}"
+                   if dims else _complaint(bad))
+            faults.append((col.index(bad), k, why))
+    if faults:
+        row, _, why = min(faults)
+        return ParseError(why, nos[row])
+    if empty < r:
+        return ParseError("empty field", nos[empty])
+    own = _fields(raws[r], sep) if sep else [lines[r]]
+    if r == late:
+        why = "header line after body lines"
+    elif "" in own:
+        why = "empty field"
+    else:
+        why = f"expected {arity} fields, got {len(own)}"
+    return ParseError(why, nos[r])
+
+
 def parse_cross_table(text: str) -> NContext:
     """Parse a 2-dimensional cross table into a context."""
-    lines = list(_numbered_lines(text))
-    if not lines:
+    return _table(*_content(text))
+
+
+def _table(nos: list[int], raws: list[str], _lines) -> NContext:
+    """A cross table's context from its content lines."""
+    if not raws:
         raise ParseError("empty cross table", 1)
-    head_no, head, _ = lines[0]
+    head_no, head = nos[0], raws[0]
     sep = _separator(head)
     if sep is None:
         raise ParseError("a cross table needs tab- or comma-separated columns", head_no)
@@ -168,8 +217,8 @@ def parse_cross_table(text: str) -> NContext:
     except InputError as exc:
         raise ParseError(str(exc), head_no) from None
     objects: dict[str, None] = {}
-    relation: list[tuple[int, int]] = []
-    for line_no, raw, _ in lines[1:]:
+    cols: tuple[list[int], list[int]] = ([], [])
+    for line_no, raw in zip(nos[1:], raws[1:]):
         fields = _fields(raw, sep)
         if len(fields) != len(header):
             raise ParseError(
@@ -182,25 +231,27 @@ def parse_cross_table(text: str) -> NContext:
             raise ParseError(
                 f"dimension 'objects' declares element {obj!r} twice", line_no
             )
-        objects[_checked(obj, line_no)] = None
+        if why := _complaint(obj):
+            raise ParseError(why, line_no)
+        objects[obj] = None
         for y, cell in enumerate(fields[1:]):
             if cell in ("x", "×"):
-                relation.append((len(objects) - 1, y))
+                cols[0].append(len(objects) - 1)
+                cols[1].append(y)
             elif cell:
                 raise ParseError(
                     f"cell must be 'x', '×', or empty, got {cell!r}", line_no
                 )
-    return NContext._of_indices([Dimension(1, "objects", tuple(objects)), attributes], relation)
+    return NContext._of_indices([Dimension(1, "objects", tuple(objects)), attributes], cols)
 
 
 def parse_context(text: str) -> NContext:
     """Parse either format: cross table when the first content line starts
     with a separator (empty corner cell), tuple file otherwise."""
-    for _, raw, _ in _numbered_lines(text):
-        if raw.startswith(("\t", ",")):
-            return parse_cross_table(text)
-        return parse_tuples(text)
-    raise ParseError("empty input", 1)
+    nos, raws, lines = _content(text)
+    if not raws:
+        raise ParseError("empty input", 1)
+    return (_table if raws[0].startswith(("\t", ",")) else _tuples)(nos, raws, lines)
 
 
 # -- serialisation -----------------------------------------------------------
@@ -304,8 +355,8 @@ def generate_random(
     threshold = int(density * (1 << 24))
     state = int(seed) & _LCG_MASK
     relation = []
-    for cell in itertools.product(*(range(s) for s in sizes)):
+    for cell in product(*(range(s) for s in sizes)):
         state = (state * _LCG_MUL + _LCG_INC) & _LCG_MASK
         if (state >> 40) < threshold:
             relation.append(cell)
-    return NContext._of_indices(dims, relation)
+    return NContext._of_indices(dims, list(zip(*relation)))

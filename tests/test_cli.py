@@ -401,6 +401,13 @@ def test_order_dot_output():
     assert res.stdout.count(" -> ") == 12
 
 
+def test_order_text_labels_a_class_as_its_members_are_printed():
+    res = run_cli("order", FIG1_TSV, "--dim", "2", "--format", "text")
+    assert res.returncode == 0
+    assert "class 2 [ab]: (1, ab)" in res.stdout.splitlines()
+    assert "class 0 [∅]: (123, ∅)" in res.stdout.splitlines()
+
+
 def test_order_on_introducers_text():
     res = run_cli("order", FIG3_TSV, "--dim", "1", "--on", "introducers",
                   "--format", "text")
@@ -504,7 +511,7 @@ def test_verify_rejects_negative_cap():
 # commands on each of five generated files of arity 1 to 4.  Standard error,
 # which holds counts and timings, is left out.  A change that alters output
 # on purpose updates this digest.
-CLI_DIGEST = "d405783ce2b3f9130cb082cc93f2776c9ecba7054296e56cd573f69608870f4d"
+CLI_DIGEST = "dd22fdacd1bf08e15edfe9816a412b780313b7f14f06ff64dda83a2efa944e4f"
 GENERATED = [((7,), 0.5), ((4, 5), 0.4), ((3, 3, 3), 0.5), ((2, 3, 4), 0.6), ((2, 2, 2, 3), 0.7)]
 
 

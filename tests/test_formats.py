@@ -234,12 +234,38 @@ class TestErrorRule:
         "text, error",
         [("a,x\nb,!y\nc,x,z\n", "line 2: label '!y' may not start with '!'"),
          ("! d1: a a\nx\n! d2: b\n", "line 1: dimension 'd1' declares element 'a' twice"),
-         ("a,x\nb,y z\n! d: a\n", "line 2: label 'y z' contains whitespace or a comma")],
+         ("a,x\nb,y z\n! d: a\n", "line 2: label 'y z' contains whitespace or a comma"),
+         ("! d1: a\n! d2: x\na\nx\n", "line 3: expected 2 fields, got 1")],
     )
     def test_earliest_fault_examples(self, text, error):
         with pytest.raises(ParseError) as err:
             parse_tuples(text)
         assert str(err.value) == error
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("! d1: a b\n! d2: x y\na\tx\nb\t\tx\n", "line 4: empty field"),
+         ("a,x\nb,,y,z\n", "line 2: empty field"),
+         ("! d1: a b\n! d2: x y\na\tx\nq\tz\n",
+          "line 4: element 'q' is not declared in dimension 'd1'"),
+         ("! d1: a b\n! d2: x y\na\tx\nb\tz\tz\n", "line 4: expected 2 fields, got 3"),
+         ("! d1: a b\n! d2: x y\na\tx\n!q\t\tz\n", "line 4: header line after body lines"),
+         ("a,x\n  !b,y\n", "line 2: header line after body lines"),
+         ("a\n! late: a1\n", "line 2: header line after body lines"),
+         ("a,x\n!b c,,y,z\n", "line 2: header line after body lines"),
+         ("a,x\nb,y\n#b,!y\nc,\n", "line 4: empty field"),
+         ("a,x\n#b,y z\nq,x\n!q,x\n", "line 4: header line after body lines"),
+         ("a,x\nb z,!y\n", "line 2: label 'b z' contains whitespace or a comma"),
+         ("a,x\nb,!y\n", "line 2: label '!y' may not start with '!'"),
+         ("a\tx\tp\nb\tx\t#q\nc\t\ufeffy\t!r\n", "line 2: label '#q' may not start with '#'"),
+         ("a,x\nb,x\nc,y,z\nd,!w\n", "line 3: expected 2 fields, got 3")],
+    )
+    def test_faults_on_one_line_rank_in_order(self, text, error):
+        """On one line, a late header comes first, then an empty field, then
+        the field count, then the labels in dimension order."""
+        with pytest.raises(ParseError) as err:
+            parse_tuples(text)
+        assert (str(err.value), err.value.line) == (error, int(error.split(":")[0][5:]))
 
     def test_cross_table_attribute_fault_before_later_rows(self):
         with pytest.raises(ParseError) as err:

@@ -87,6 +87,50 @@ def contexts(min_arity=1):
     return drawn_cells(min_arity).map(lambda drawn: NContext(*drawn))
 
 
+def _dimension_by_label(labels):
+    """What ``Dimension(1, "d", labels)`` checks, label by label: ``check_label``
+    on each, then that it is new.  Returns the positions, or the error."""
+    pos = {}
+    try:
+        for label in labels:
+            check_label(label)
+            if label in pos:
+                raise InputError(f"dimension 'd' declares element {label!r} twice")
+            pos[label] = len(pos)
+    except InputError as exc:
+        return exc
+    return pos
+
+
+# Labels that break one rule each, among good ones: not a string, empty,
+# ASCII and Unicode whitespace, a comma, a reserved first character.
+ANY_LABELS = st.lists(
+    st.one_of(
+        st.sampled_from(["a", "bc", "中", "a#", "b!", "c\ufeff", "é"]),
+        st.sampled_from(["", " ", "a b", "a\x1cb", "\x85", "x\u3000", "\u00a0y", "a,b", ",",
+                         "#a", "!b", "\ufeffc", "#", 1, None, b"a"]),
+        LABELS,
+    ),
+    max_size=6,
+)
+
+
+@PROPERTY
+@given(ANY_LABELS)
+@example(["a", "b", "a"])
+@example(["a", "b c", "a"])
+@example(["a", "a", "b c"])
+def test_dimension_checks_labels_as_check_label_does(labels):
+    want = _dimension_by_label(labels)
+    try:
+        d = Dimension(1, "d", labels)
+    except InputError as exc:
+        assert type(exc) is type(want) and str(exc) == str(want)
+        return
+    assert d._pos == want
+    assert d._sep == ("" if all(len(label) == 1 for label in labels) else " ")
+
+
 @PROPERTY
 @given(contexts())
 def test_tuple_file_round_trip(ctx):
