@@ -148,24 +148,16 @@ class Dimension:
         check_dimension_name(self.name)
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
-        try:  # check_label's rules on all labels at once, joined by line breaks
-            text = "\n" + "\n".join(elements)
-            plain = text.split() == list(elements) and not any(
-                map(text.__contains__, (",", "\n#", "\n!", "\n\ufeff")))
-        except TypeError:  # a label that is not a string
-            plain = False
-        pos = dict(zip(elements, range(len(elements)))) if plain else {}
-        if len(pos) != len(elements):  # name the first fault, label by label
-            seen = set()
-            for label in elements:
-                check_label(label)
-                if label in seen:
-                    raise InputError(
-                        f"dimension {self.name!r} declares element {label!r} twice"
-                    )
-                seen.add(label)
+        pos = {}
+        for k, label in enumerate(elements):
+            check_label(label)
+            if label in pos:
+                raise InputError(
+                    f"dimension {self.name!r} declares element {label!r} twice"
+                )
+            pos[label] = k
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_sep", "" if max(map(len, elements), default=1) == 1 else " ")
+        object.__setattr__(self, "_sep", "" if all(len(e) == 1 for e in elements) else " ")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -49,8 +49,8 @@ Cells are visited in row-major order, last dimension fastest.
 from __future__ import annotations
 
 import json
-from itertools import compress, count, filterfalse, product, repeat
-from operator import ne
+from itertools import compress, count, product, repeat
+from operator import ne, or_
 from typing import Sequence
 
 from .concepts import ConceptSet
@@ -77,7 +77,7 @@ def _content(text: str) -> tuple[list[int], list[str], list[str]]:
     comment lines are skipped."""
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     stripped = list(map(str.strip, lines))
-    keep = [s and s[0] != "#" for s in stripped] if "#" in text else stripped
+    keep = [s and s[0] != "#" for s in stripped]
     return (list(compress(count(1), keep)), list(compress(lines, keep)),
             list(compress(stripped, keep)))
 
@@ -159,40 +159,36 @@ def _body(dims, nos, raws, lines) -> tuple[list[Dimension], list[list[int]]]:
 
 def _fault(dims, nos, raws, lines, sep, arity, fields) -> ParseError:
     """The error of the earliest faulty body line, found from ``_body``'s
-    columns.  On one line a late header ranks first, then an empty field,
-    then the field count, then its labels in dimension order: undeclared
-    under a header, else bad.  Every line before the first late header or
-    miscounted line, ``r``, has ``arity`` fields, so ``fields`` starts with
-    their columns."""
-    late = next(compress(count(), map(str.startswith, lines, repeat("!"))), len(raws))
-    counts = map(str.count, raws, repeat(sep)) if sep else repeat(0, len(raws))
-    r = min(late, next(compress(count(), map(ne, counts, repeat(arity - 1))), len(raws)))
-    cols = [fields[k : r * arity : arity] for k in range(arity)]
-    empty = min([col.index("") for col in cols if "" in col], default=r)
-    faults = []  # (row, dimension, why) of bad labels on rows before any other fault
-    for k, col in enumerate(cols):
-        col = col[:empty]
-        if dims:
-            bad = next(filterfalse(dims[k].__contains__, col), None)
-        else:  # the first bad label in order of first appearance
-            bad = next(filter(_complaint, dict.fromkeys(col)), None)
-        if bad is not None:
-            why = (f"element {bad!r} is not declared in dimension {dims[k].name!r}"
-                   if dims else _complaint(bad))
-            faults.append((col.index(bad), k, why))
-    if faults:
-        row, _, why = min(faults)
-        return ParseError(why, nos[row])
-    if empty < r:
-        return ParseError("empty field", nos[empty])
-    own = _fields(raws[r], sep) if sep else [lines[r]]
-    if r == late:
+    columns.  Every line before the first late header or miscounted line,
+    ``r``, has ``arity`` fields, so ``fields`` starts with their columns;
+    there an empty field fails as a label.  The faulty line is then named
+    by one rule: a late header, an empty field, the field count, then its
+    labels in dimension order."""
+    heads = map(str.startswith, lines, repeat("!"))
+    counts = map(str.count, raws, repeat(sep)) if sep else repeat(0)
+    r = next(compress(count(), map(or_, heads, map(ne, counts, repeat(arity - 1)))), len(raws))
+    bad = (map(_why, repeat(dims), repeat(k), fields[k : r * arity : arity]) for k in range(arity))
+    row = min(next(compress(count(), col), r) for col in bad)
+    own = _fields(raws[row], sep) if sep else [lines[row]]
+    if lines[row][0] == "!":
         why = "header line after body lines"
     elif "" in own:
         why = "empty field"
-    else:
+    elif len(own) != arity:
         why = f"expected {arity} fields, got {len(own)}"
-    return ParseError(why, nos[r])
+    else:
+        why = next(filter(None, map(_why, repeat(dims), count(), own)))
+    return ParseError(why, nos[row])
+
+
+def _why(dims, k: int, label: str) -> str:
+    """What is wrong with a label of dimension ``k``: undeclared under a
+    header, else bad; "" for a good one."""
+    if not dims:
+        return _complaint(label)
+    if label in dims[k]:
+        return ""
+    return f"element {label!r} is not declared in dimension {dims[k].name!r}"
 
 
 def parse_cross_table(text: str) -> NContext:
