@@ -168,6 +168,18 @@ def _verdict(failure, note: str = "") -> str:
     return f"ok ({note})" if note else "ok"
 
 
+def _diff(ctx, have, want) -> str:
+    """``missing=[...] extra=[...]``: what ``have`` lacks and has in excess
+    against ``want``, each copy counted, in canonical order; "" for none.
+    Both come canonically ordered, so copies are counted only when they
+    differ as sequences."""
+    if have == want or (have := Counter(have)) == (want := Counter(want)):
+        return ""
+    missing = [format_record(ctx, m) for m in (want - have).elements()]
+    extra = [format_record(ctx, m) for m in (have - want).elements()]
+    return f"missing={missing} extra={extra}"
+
+
 def cmd_verify(args) -> int:
     ctx = _load(args.input)
     cap = _oracle_cap(args)
@@ -178,23 +190,9 @@ def cmd_verify(args) -> int:
 
     if cost <= cap:
         reference = brute_force_concepts(ctx, cap=cap)
-        failure = None
-        if found != reference:
-            missing = [format_record(ctx, t) for t in reference if t not in found]
-            extra = [format_record(ctx, t) for t in found if t not in reference]
-            failure = f"missing={missing} extra={extra}"
-        table["concept oracle"] = _verdict(failure, f"{len(found)} concepts")
-        # the same records as introducer_oracle(ctx), each copy counted; both
-        # come in canonical order, so only unequal tuples are counted
-        have, want = records, _oracle_records(ctx, reference)
-        if have != want:
-            have, want = Counter(have), Counter(want)
-        failure = None
-        if have != want:
-            missing = [format_record(ctx, r) for r in (want - have).elements()]
-            extra = [format_record(ctx, r) for r in (have - want).elements()]
-            failure = f"missing={missing} extra={extra}"
-        table["introducer oracle"] = _verdict(failure, f"{len(records)} records")
+        table["concept oracle"] = _verdict(_diff(ctx, found, reference), f"{len(found)} concepts")
+        want = _oracle_records(ctx, reference)  # the records of introducer_oracle(ctx)
+        table["introducer oracle"] = _verdict(_diff(ctx, records, want), f"{len(records)} records")
     else:
         table["concept oracle"] = (
             f"skipped (oracle infeasible: {cost} combinations exceed cap {cap})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from operator import add, ge, getitem, index, mul
+from operator import add, index, mul
 from typing import Iterable, Sequence
 
 MAX_ARITY = 500  # the concept search nests one generator per dimension
@@ -170,10 +170,7 @@ class Dimension:
         try:
             return self._pos[label]
         except KeyError:
-            raise self._unknown(label) from None
-
-    def _unknown(self, label) -> InputError:
-        return InputError(f"element {label!r} is not in dimension {self.name!r}")
+            raise InputError(f"element {label!r} is not in dimension {self.name!r}") from None
 
     def _positions(self, labels: Iterable[str]) -> tuple[int, ...]:
         """Sorted, deduplicated positions of a collection of labels."""
@@ -256,7 +253,7 @@ class NContext:
             else:
                 name, elements = d
                 norm.append(Dimension(k + 1, name, tuple(elements)))
-        self._shape(tuple(norm))  # sets what _index reads
+        self._shape(tuple(norm))
         self._build(list(zip(*map(self._index, relation))))
 
     @classmethod
@@ -299,7 +296,6 @@ class NContext:
         self._dims = dims
         self._names = {d.index: d.name for d in dims}
         self._seps = tuple([d._sep for d in dims])
-        self._lookup = tuple(d._pos for d in dims)  # read by _index
         self._getters = tuple([d.elements.__getitem__ for d in dims])  # read by _labelled
         self._arity = len(dims)
         self._sliced = {}
@@ -348,10 +344,7 @@ class NContext:
             raise InputError(
                 f"tuple {t!r} has {len(t)} fields, expected {len(self._dims)}"
             )
-        try:
-            return tuple(map(getitem, self._lookup, t))
-        except KeyError:  # let Dimension.position name the unknown label
-            return tuple(map(Dimension.position, self._dims, t))
+        return tuple(map(Dimension.position, self._dims, t))
 
     def dim(self, selector) -> Dimension:
         """Resolve a 1-based index or a dimension name to its Dimension."""
@@ -404,9 +397,10 @@ class NContext:
         """Index components of a canonical ComponentTuple; they sort totally.
 
         The one checked step from labels to indices: raises ``InputError``
-        for a non-ComponentTuple, a wrong arity, an unknown label, or labels
-        not strictly increasing in their dimension's element order.  A tuple
-        this context made carries its key, which is returned unchecked.
+        for a non-ComponentTuple, a wrong arity, a bare-string component, an
+        unknown label, or labels not strictly increasing in their dimension's
+        element order.  A tuple this context made carries its key, which is
+        returned unchecked.
         """
         if not isinstance(t, ComponentTuple):
             raise InputError(f"expected a ComponentTuple, got {type(t).__name__}")
@@ -418,11 +412,8 @@ class NContext:
             )
         key = []
         for d, comp in zip(self._dims, t.components):
-            try:
-                pos = tuple(map(d._pos.__getitem__, comp))
-            except KeyError as err:
-                raise d._unknown(err.args[0]) from None
-            if any(map(ge, pos, pos[1:])):  # unsorted or repeated
+            pos = d._positions(comp)
+            if tuple(map(d.elements.__getitem__, pos)) != tuple(comp):  # unsorted or repeated
                 raise InputError(
                     f"component {d.index} of {t} is not strictly increasing in "
                     f"the element order of dimension {d.name!r}"

@@ -3,9 +3,10 @@
 Lines end at '\\n', '\\r\\n' or '\\r' only; other characters that some
 readers treat as line breaks stay inside their line.  A tuple file's body
 is read by columns: its fields are split all at once and sliced into one
-label column per dimension, and each check runs on whole columns.  Faults
-are then located from the same columns, and a file with several faults,
-in either format, is reported at its earliest faulty line.
+label column per dimension, and each check runs on whole columns.  Only
+when a check fails are the faults found, by walking the body lines in
+order, so a file with several faults, in either format, is reported at its
+earliest faulty line.
 
 Tuple files
     Optional comment lines start with '#'.  Optional header lines, one per
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import json
 from itertools import compress, count, product, repeat
-from operator import ne, or_
 from typing import Sequence
 
 from .concepts import ConceptSet
@@ -154,31 +154,23 @@ def _body(dims, nos, raws, lines) -> tuple[list[Dimension], list[list[int]]]:
             return dims, [list(map(d._pos.__getitem__, col)) for d, col in zip(dims, cols)]
         except (InputError, KeyError):
             pass
-    raise _fault(dims, nos, raws, lines, sep, arity, fields)
+    raise _fault(dims, nos, raws, lines, sep, arity)
 
 
-def _fault(dims, nos, raws, lines, sep, arity, fields) -> ParseError:
-    """The error of the earliest faulty body line, found from ``_body``'s
-    columns.  Every line before the first late header or miscounted line,
-    ``r``, has ``arity`` fields, so ``fields`` starts with their columns;
-    there an empty field fails as a label.  The faulty line is then named
-    by one rule: a late header, an empty field, the field count, then its
-    labels in dimension order."""
-    heads = map(str.startswith, lines, repeat("!"))
-    counts = map(str.count, raws, repeat(sep)) if sep else repeat(0)
-    r = next(compress(count(), map(or_, heads, map(ne, counts, repeat(arity - 1)))), len(raws))
-    bad = (map(_why, repeat(dims), repeat(k), fields[k : r * arity : arity]) for k in range(arity))
-    row = min(next(compress(count(), col), r) for col in bad)
-    own = _fields(raws[row], sep) if sep else [lines[row]]
-    if lines[row][0] == "!":
-        why = "header line after body lines"
-    elif "" in own:
-        why = "empty field"
-    elif len(own) != arity:
-        why = f"expected {arity} fields, got {len(own)}"
-    else:
-        why = next(filter(None, map(_why, repeat(dims), count(), own)))
-    return ParseError(why, nos[row])
+def _fault(dims, nos, raws, lines, sep, arity) -> ParseError:
+    """The error of the earliest faulty body line.  Each line gets one rule:
+    a late header, an empty field, the field count, then its labels in
+    dimension order."""
+    for line_no, raw, line in zip(nos, raws, lines):
+        own = _fields(raw, sep) if sep else [line]
+        if line[0] == "!":
+            return ParseError("header line after body lines", line_no)
+        if "" in own:
+            return ParseError("empty field", line_no)
+        if len(own) != arity:
+            return ParseError(f"expected {arity} fields, got {len(own)}", line_no)
+        for why in filter(None, map(_why, repeat(dims), count(), own)):
+            return ParseError(why, line_no)
 
 
 def _why(dims, k: int, label: str) -> str:

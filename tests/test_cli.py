@@ -473,6 +473,12 @@ def test_verify_skips_oracle_when_infeasible():
     assert res.returncode == 0
     assert "concept oracle: skipped (oracle infeasible" in res.stdout
     assert "result: pass" in res.stdout
+    # the cap bounds the oracle's 32 combinations inclusively
+    res = run_cli("verify", FIG3_TSV, "--cap", "32")
+    assert res.stdout.splitlines()[:2] == [
+        "concept oracle: ok (7 concepts)",
+        "introducer oracle: ok (7 records)",
+    ]
 
 
 def test_verify_cap_from_environment():

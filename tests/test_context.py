@@ -116,6 +116,19 @@ class TestConstruction:
         with pytest.raises(InputError, match="expected 2 components, got 1"):
             fig1.box([["1"], ["a"]])
 
+    def test_checks_reject_bare_string_component(self, fig1):
+        # as box does: a string is not read as a collection of one-character labels
+        t = ComponentTuple(("1", "ab"))
+        message = (
+            "component for dimension 'objects' must be an iterable of labels, "
+            "not the bare string '1'"
+        )
+        for check in (fig1.sort_key, fig1.is_concept, fig1.is_full_box,
+                      lambda t: dimension_diagram(fig1, [t], 1)):
+            with pytest.raises(InputError) as err:
+                check(t)
+            assert str(err.value) == message
+
 
 class TestSlice:
     def test_fig3_alpha_layer(self, fig3):
